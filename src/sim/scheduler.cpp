@@ -59,29 +59,35 @@ bool Scheduler::IsPending(const EventId& id) const {
          slots_[id.slot_].gen == id.gen_ && slots_[id.slot_].active;
 }
 
-bool Scheduler::Step() {
+Time Scheduler::NextEventTime() {
   while (!queue_.empty()) {
-    // priority_queue::top() is const to protect the heap invariant, but the
-    // entry is leaving the queue anyway — move it out instead of copying
-    // the std::function.
-    Entry entry = std::move(const_cast<Entry&>(queue_.top()));
+    const Entry& top = queue_.top();
+    if (slots_[top.slot].active) return top.time;
+    assert(cancelled_count_ > 0);
+    --cancelled_count_;
+    const uint32_t slot = top.slot;
     queue_.pop();
-    if (!slots_[entry.slot].active) {
-      assert(cancelled_count_ > 0);
-      --cancelled_count_;
-      ReleaseSlot(entry.slot);
-      drain_counter_->Inc();
-      continue;
-    }
-    now_ = entry.time;
-    ReleaseSlot(entry.slot);  // fired: stale handles must not cancel it
-    ++executed_;
-    executed_counter_->Inc();
-    depth_gauge_->Set(static_cast<int64_t>(PendingEvents()));
-    entry.cb();
-    return true;
+    ReleaseSlot(slot);
+    drain_counter_->Inc();
   }
-  return false;
+  return Time::Max();
+}
+
+bool Scheduler::Step() {
+  NextEventTime();  // the top, if any, is now a live event
+  if (queue_.empty()) return false;
+  // priority_queue::top() is const to protect the heap invariant, but the
+  // entry is leaving the queue anyway — move it out instead of copying the
+  // std::function.
+  Entry entry = std::move(const_cast<Entry&>(queue_.top()));
+  queue_.pop();
+  now_ = entry.time;
+  ReleaseSlot(entry.slot);  // fired: stale handles must not cancel it
+  ++executed_;
+  executed_counter_->Inc();
+  depth_gauge_->Set(static_cast<int64_t>(PendingEvents()));
+  entry.cb();
+  return true;
 }
 
 void Scheduler::Run() {
@@ -90,18 +96,7 @@ void Scheduler::Run() {
 }
 
 void Scheduler::RunUntil(Time deadline) {
-  while (!queue_.empty()) {
-    const Entry& top = queue_.top();
-    if (!slots_[top.slot].active) {
-      --cancelled_count_;
-      const uint32_t slot = top.slot;
-      queue_.pop();
-      ReleaseSlot(slot);
-      drain_counter_->Inc();
-      continue;
-    }
-    if (top.time > deadline) break;
-    Step();
+  while (NextEventTime() <= deadline && Step()) {
   }
   if (now_ < deadline) now_ = deadline;
 }

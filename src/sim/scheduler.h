@@ -67,6 +67,11 @@ class Scheduler {
   /// Executes the next event, if any. Returns false when the queue is empty.
   bool Step();
 
+  /// Time of the earliest pending event, or Time::Max() when none is
+  /// pending. Drains cancelled tombstones off the top of the queue (as
+  /// RunUntil does) but never executes an event or moves the clock.
+  Time NextEventTime();
+
   /// Number of pending (non-cancelled) events.
   size_t PendingEvents() const { return queue_.size() - cancelled_count_; }
 

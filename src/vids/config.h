@@ -71,7 +71,8 @@ struct DetectionConfig {
   /// stays armed while any tracked state exists, so idle tail state is
   /// reclaimed even when traffic pauses entirely. Once everything is
   /// reclaimed the event is not re-armed: an empty, idle IDS schedules
-  /// nothing.
+  /// nothing. Sweeps land on the absolute grid of multiples of this
+  /// interval, so every engine topology sweeps a call at the same instants.
   sim::Duration sweep_interval = sim::Duration::Seconds(1);
   /// Completed Call-IDs are remembered this long so late retransmissions
   /// don't re-open a call as a false "deviation".

@@ -338,9 +338,15 @@ bool CallStateFactBase::CallComplete(const efsm::MachineGroup& group) const {
   return true;
 }
 
+sim::Time CallStateFactBase::NextSweepInstant(sim::Time now) const {
+  const int64_t interval = config_.sweep_interval.nanos();
+  return sim::Time::FromNanos((now.nanos() / interval + 1) * interval);
+}
+
 void CallStateFactBase::ArmSweepTimer() {
   if (scheduler_.IsPending(sweep_event_)) return;
-  sweep_event_ = scheduler_.ScheduleAfter(config_.sweep_interval, [this] {
+  const sim::Time at = NextSweepInstant(scheduler_.Now());
+  sweep_event_ = scheduler_.ScheduleAt(at, [this] {
     Sweep(scheduler_.Now());
     // The fired event is no longer pending, so this re-arms. An empty fact
     // base schedules nothing; the next state creation re-arms the chain.
@@ -350,7 +356,7 @@ void CallStateFactBase::ArmSweepTimer() {
 
 void CallStateFactBase::Sweep(sim::Time now) {
   if (now < next_sweep_) return;
-  next_sweep_ = now + config_.sweep_interval;
+  next_sweep_ = NextSweepInstant(now);
   m_sweeps_->Inc();
   const int64_t sweep_start = obs::MonotonicNanos();
   // Names of the groups reclaimed by this sweep, for the sweep listener

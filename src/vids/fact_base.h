@@ -178,6 +178,11 @@ class CallStateFactBase {
   /// Arms the periodic sweep event if it is not already pending. Called on
   /// state creation only, so the steady-state packet path never schedules.
   void ArmSweepTimer();
+  /// The first point of the absolute sweep grid (multiples of
+  /// sweep_interval since time zero) strictly after `now`. Sweeps land on
+  /// this grid whichever packet or timer triggers them, so every engine
+  /// holding a call — inline or any shard — sweeps it at the same instants.
+  sim::Time NextSweepInstant(sim::Time now) const;
 
   sim::Scheduler& scheduler_;
   DetectionConfig config_;

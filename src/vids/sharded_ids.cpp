@@ -717,17 +717,22 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
   // messages, and every sweep/timer inside the gap runs here — mid-batch,
   // before the post-batch heartbeat store is reached. One monolithic
   // RunUntil would freeze the heartbeat for the whole catch-up and let the
-  // watchdog mis-score genuine progress as a wedged worker. Bounded slices
-  // keep both progress signals live: the wall-clock heartbeat and the
-  // source-time frontier (processed_ns), which WatchdogCheck uses to
-  // re-anchor open episodes.
-  constexpr int64_t kSliceNs = 60'000'000'000;  // one simulated minute
-  while (when.nanos() - scheduler.Now().nanos() > kSliceNs) {
-    scheduler.RunUntil(scheduler.Now() + sim::Duration::Nanos(kSliceNs));
+  // watchdog mis-score genuine progress as a wedged worker. So the minutes
+  // in which timers are due run one at a time, each followed by both
+  // progress signals: the wall-clock heartbeat and the source-time
+  // frontier (processed_ns), which WatchdogCheck uses to re-anchor open
+  // episodes. Stretches with nothing due are crossed in one jump, so a
+  // fresh worker reaching a capture's epoch timestamps does O(1) work.
+  constexpr sim::Duration kSlice = sim::Duration::Seconds(60);
+  // Events are never scheduled in the past, so `next` >= Now().
+  sim::Time next = scheduler.NextEventTime();
+  while (next < when && when - next > kSlice) {
+    scheduler.RunUntil(next + kSlice);
     shard.processed_ns.store(scheduler.Now().nanos(),
                              std::memory_order_release);
     shard.last_progress_ns.store(obs::MonotonicNanos(),
                                  std::memory_order_release);
+    next = scheduler.NextEventTime();
   }
   scheduler.RunUntil(when);
 }

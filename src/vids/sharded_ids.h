@@ -357,6 +357,9 @@ class ShardedIds {
   const Vids& shard_vids(int i) const {
     return *shards_[static_cast<size_t>(i)]->vids;
   }
+  const sim::Scheduler& shard_scheduler(int i) const {
+    return *shards_[static_cast<size_t>(i)]->scheduler;
+  }
 
   /// The coordinator's behavior engine — the single authority for
   /// behavioral profiles in a sharded deployment, fed by the aggregate
@@ -544,8 +547,9 @@ class ShardedIds {
     uint64_t down_stalls = 0;
     uint64_t up_hwm = 0;
     /// Watchdog heartbeat: wall-clock time of the last batch this worker
-    /// fully retired — or, during a sliced clock catch-up across a capture
-    /// gap (AdvanceShardClock), of the last completed slice. Release-stored
+    /// fully retired — or, during a clock catch-up across a capture gap
+    /// (AdvanceShardClock), of the last completed slice in which timers
+    /// ran (event-free stretches are jumped and store nothing). Release-stored
     /// (only when the watchdog is enabled — the disabled config never
     /// reads the clock). A worker that is wedged, spinning in PushUp, or
     /// dead stops advancing it.
@@ -561,7 +565,8 @@ class ShardedIds {
     std::atomic<bool> wedged{false};
     /// Source-time progress frontier: the highest packet/flush time this
     /// worker fully processed (post-batch), or its scheduler's position
-    /// mid-catch-up (watchdog-enabled configs only). Post-batch stores are
+    /// after each timer-running slice of a catch-up (watchdog-enabled
+    /// configs only). Post-batch stores are
     /// release-ordered after every upstream message for that time; the
     /// watchdog additionally reads this as source-reported progress so a
     /// worker sweeping through a replayed capture gap re-anchors its stall
@@ -647,9 +652,12 @@ class ShardedIds {
   void ProcessLaneMsg(Shard& shard, Lane& lane, size_t at, ShardMsg& msg,
                       net::Datagram& scratch, int64_t& watermark);
   /// Advances a shard's private scheduler to `when` (no-op if already
-  /// there). With the watchdog enabled, large jumps — replayed capture
-  /// gaps — run in bounded slices with a heartbeat and a processed_ns
-  /// store per slice, so mid-batch catch-up work is visible as progress.
+  /// there). With the watchdog enabled, a stretch with no event due before
+  /// `when` is crossed in one jump; where timers are due, the catch-up
+  /// runs one simulated minute from the next due event at a time, with a
+  /// heartbeat and a processed_ns store per slice, so mid-batch catch-up
+  /// work is visible as progress. Cost follows the due timers, not the
+  /// distance the clock moves.
   void AdvanceShardClock(Shard& shard, sim::Time when);
   /// Records a sampled packet's span: latency histograms + a kSpan flight
   /// record. `t0` is the enqueue wall time, `t_dequeue` the worker's

@@ -3,6 +3,7 @@
 // RunSource replay drivers, and the sharded engine's clock-domain
 // hardening under faster-than-real-time replay.
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <string>
 #include <string_view>
@@ -627,6 +628,14 @@ std::string WdMessage(std::string_view kind, const std::string& call_id) {
     ok.SetCseq(sip::CSeq{1, sip::Method::kInvite});
     return ok.Serialize();
   }
+  if (kind == "bye") {
+    auto bye = build(
+        sip::Message::MakeRequest(sip::Method::kBye,
+                                  *sip::SipUri::Parse("sip:bob@b.example.com")),
+        true);
+    bye.SetCseq(sip::CSeq{2, sip::Method::kBye});
+    return bye.Serialize();
+  }
   auto ack = build(
       sip::Message::MakeRequest(sip::Method::kAck,
                                 *sip::SipUri::Parse("sip:bob@b.example.com")),
@@ -682,6 +691,131 @@ TEST(ShardedReplayClock, CaptureGapUnderFastReplayDoesNotTripWatchdog) {
   EXPECT_GE(merged.GetCounter("vids.sweeps").value(),
             static_cast<uint64_t>(gap_ms / 200 - 10));
   engine.Stop();
+}
+
+using CanonicalAlerts = std::vector<std::pair<int64_t, std::string>>;
+
+/// Alerts sorted by (time, rendered text), engine-health alerts dropped:
+/// the order-free form in which inline and sharded streams compare.
+CanonicalAlerts Canonical(const std::vector<ids::Alert>& alerts) {
+  CanonicalAlerts out;
+  for (const ids::Alert& alert : alerts) {
+    if (alert.kind == ids::AlertKind::kEngineHealth) continue;
+    out.emplace_back(alert.when.nanos(), alert.ToString());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+CanonicalAlerts ReplayInline(SimSource& source) {
+  source.Rewind();
+  sim::Scheduler scheduler;
+  ids::Vids vids(scheduler);
+  EXPECT_TRUE(RunSource(source, vids, scheduler).ok);
+  return Canonical(vids.alerts());
+}
+
+/// A call set up at `start` (INVITE, 200, ACK at 20 ms steps) that then
+/// goes silent.
+void AppendCallSetup(SimSource& source, sim::Time start,
+                     const std::string& call_id) {
+  const auto step = [&](int i) { return start + sim::Duration::Millis(20 * i); };
+  source.Append(step(0), SipDg(kOutA, kInB, WdMessage("invite", call_id)),
+                true);
+  source.Append(step(1), SipDg(kInB, kOutA, WdMessage("ok", call_id)), false);
+  source.Append(step(2), SipDg(kOutA, kInB, WdMessage("ack", call_id)), true);
+}
+
+TEST(ShardedReplayClock, FreshEngineJumpsToCaptureEpoch) {
+  // A capture stamped with wall-clock epoch times puts ~50 years of
+  // simulated time between a fresh worker's clock and the first packet.
+  // Nothing is scheduled in that stretch, so the watchdog-enabled catch-up
+  // must cross it in one step instead of one slice per simulated minute.
+  const ids::ShardedConfig config;
+  ASSERT_GT(config.watchdog_stall_ms, 0);
+  ids::ShardedIds engine(config);
+  const sim::Time epoch = sim::Time::FromNanos(1'600'000'000'000'000'000);
+
+  const auto start = std::chrono::steady_clock::now();
+  engine.Flush(epoch);
+  const auto wall = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(wall, std::chrono::milliseconds(250));
+  for (int i = 0; i < engine.shards(); ++i) {
+    EXPECT_EQ(engine.shard_scheduler(i).Now(), epoch);
+    EXPECT_EQ(engine.shard_scheduler(i).ExecutedEvents(), 0u);
+  }
+  engine.Stop();
+}
+
+TEST(ShardedReplayClock, YearLongIdleGapMatchesPlainVids) {
+  // A call goes idle and is reclaimed, and its tombstone expires, so the
+  // fact base empties and its sweep chain stops re-arming; the capture
+  // stays silent for a year. The jump across the gap must leave the alert
+  // stream exactly as the plain engine raises it, and count as progress
+  // for a 60 ms watchdog.
+  SimSource source;
+  AppendCallSetup(source, sim::Time(), "before-gap");
+  const sim::Time after =
+      sim::Time() + sim::Duration::Seconds(int64_t{365} * 24 * 3600);
+  source.Append(after, SipDg(kOutA, kInB, WdMessage("bye", "orphan-bye")),
+                true);
+  source.Append(after + sim::Duration::Millis(10),
+                Dg(kOutA, kInB, "post-gap probe"), true);
+
+  const CanonicalAlerts plain = ReplayInline(source);
+  ASSERT_FALSE(plain.empty());
+  for (const int shards : {1, 3}) {
+    ids::ShardedConfig config;
+    config.shards = shards;
+    config.watchdog_stall_ms = 60;
+    ids::ShardedIds engine(config);
+    source.Rewind();
+    EXPECT_TRUE(RunSource(source, engine).ok);
+    EXPECT_EQ(plain, Canonical(engine.alerts())) << "shards=" << shards;
+    EXPECT_EQ(engine.watchdog_stalls(), 0u) << "shards=" << shards;
+    // Guard against vacuity: the chain really was unarmed across the gap
+    // (an armed 1 s chain would have swept ~31.5M times).
+    EXPECT_LT(engine.MergedMetrics().GetCounter("vids.sweeps").value(),
+              1000u);
+    engine.Stop();
+  }
+}
+
+// ------------------------------------------------------------ sweep grid
+
+TEST(SweepGrid, LongHoldByeRaisesTheSameAlertsInlineAndSharded) {
+  // "anchor-call" hashes to shard 2 of 3 and "long-hold" to shard 1. The
+  // anchor call opens the capture at t=0; the long-hold call opens at
+  // 0.5 s. Both then hold silently past call_idle_timeout (180 s). The
+  // long-hold call's idle sweep tombstones it for tombstone_ttl (32 s), and
+  // its BYE arrives at 213.2 s: after the tombstone has expired on the 1 s
+  // sweep grid (213 s), but before it would expire on a phase taken from
+  // the long-hold call's own first packet (213.5 s) — the phase of a shard
+  // that sees only that call. On one grid, every topology raises the same
+  // dialog-less BYE.
+  SimSource source;
+  AppendCallSetup(source, sim::Time(), "anchor-call");
+  AppendCallSetup(source, sim::Time() + sim::Duration::Millis(500),
+                  "long-hold");
+  source.Append(sim::Time() + sim::Duration::Millis(213'200),
+                SipDg(kOutA, kInB, WdMessage("bye", "long-hold")), true);
+
+  const CanonicalAlerts plain = ReplayInline(source);
+  ASSERT_FALSE(plain.empty());
+  for (const int shards : {1, 3}) {
+    ids::ShardedConfig config;
+    config.shards = shards;
+    ids::ShardedIds engine(config);
+    source.Rewind();
+    EXPECT_TRUE(RunSource(source, engine).ok);
+    EXPECT_EQ(plain, Canonical(engine.alerts())) << "shards=" << shards;
+    if (shards == 3) {
+      // Guard against vacuity: the two calls were split across shards.
+      EXPECT_EQ(engine.shard_vids(1).stats().sip_packets, 4u);
+      EXPECT_EQ(engine.shard_vids(2).stats().sip_packets, 3u);
+    }
+    engine.Stop();
+  }
 }
 
 TEST(ShardedReplayClock, SourceTimeDeadlineFlushesOpenBatch) {

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/scheduler.h"
 #include "sim/time.h"
 
@@ -170,6 +171,63 @@ TEST(Scheduler, ExecutedEventsCounts) {
   for (int i = 0; i < 7; ++i) sched.ScheduleAfter(Duration::Nanos(i), [] {});
   sched.Run();
   EXPECT_EQ(sched.ExecutedEvents(), 7u);
+}
+
+TEST(Scheduler, NextEventTimeOfEmptyQueueIsMax) {
+  Scheduler sched;
+  EXPECT_EQ(sched.NextEventTime(), Time::Max());
+  sched.ScheduleAfter(Duration::Millis(1), [] {});
+  sched.Run();
+  EXPECT_EQ(sched.NextEventTime(), Time::Max());
+}
+
+TEST(Scheduler, NextEventTimeDrainsCancelledTop) {
+  obs::MetricsRegistry registry;
+  Scheduler sched;
+  sched.AttachMetrics(registry);
+  const obs::Counter& drains = registry.GetCounter("sim.tombstone_drains");
+  bool late_ran = false;
+  auto early = sched.ScheduleAfter(Duration::Millis(1), [] {});
+  auto middle = sched.ScheduleAfter(Duration::Millis(2), [] {});
+  sched.ScheduleAfter(Duration::Millis(3), [&] { late_ran = true; });
+  const auto stale = early;
+  EXPECT_TRUE(sched.Cancel(early));
+  EXPECT_TRUE(sched.Cancel(middle));
+  EXPECT_EQ(sched.PendingEvents(), 1u);
+
+  // Both cancelled entries sit above the live one: both drain, once.
+  EXPECT_EQ(sched.NextEventTime(), Time() + Duration::Millis(3));
+  EXPECT_EQ(drains.value(), 2u);
+  EXPECT_EQ(sched.PendingEvents(), 1u);
+  EXPECT_EQ(sched.NextEventTime(), Time() + Duration::Millis(3));
+  EXPECT_EQ(drains.value(), 2u);
+
+  // The drained slots are free again; a handle to the cancelled event must
+  // not reach the event that recycles its slot.
+  bool reused_ran = false;
+  auto reused =
+      sched.ScheduleAfter(Duration::Millis(4), [&] { reused_ran = true; });
+  auto stale_copy = stale;
+  EXPECT_FALSE(sched.Cancel(stale_copy));
+  EXPECT_TRUE(sched.IsPending(reused));
+  EXPECT_EQ(sched.PendingEvents(), 2u);
+  sched.Run();
+  EXPECT_TRUE(late_ran);
+  EXPECT_TRUE(reused_ran);
+  EXPECT_EQ(sched.ExecutedEvents(), 2u);
+  EXPECT_EQ(drains.value(), 2u);
+}
+
+TEST(Scheduler, NextEventTimeNeitherRunsEventsNorMovesTheClock) {
+  Scheduler sched;
+  sched.RunUntil(Time() + Duration::Seconds(5));
+  int ran = 0;
+  sched.ScheduleAfter(Duration::Seconds(10), [&] { ++ran; });
+  EXPECT_EQ(sched.NextEventTime(), Time() + Duration::Seconds(15));
+  EXPECT_EQ(sched.Now(), Time() + Duration::Seconds(5));
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(sched.ExecutedEvents(), 0u);
+  EXPECT_EQ(sched.PendingEvents(), 1u);
 }
 
 TEST(Timer, StartFiresOnce) {
