@@ -37,7 +37,7 @@ class PayloadArena {
  public:
   /// `slots` should equal the paired ring's capacity(); `slot_bytes` is the
   /// largest payload stored inline (larger ones take the caller's fallback
-  /// path). slot_bytes == 0 disables the arena (Fits() is always false).
+  /// path).
   PayloadArena(size_t slots, size_t slot_bytes)
       : slot_bytes_(slot_bytes), bytes_(slots * slot_bytes) {}
 
@@ -45,7 +45,7 @@ class PayloadArena {
   PayloadArena& operator=(const PayloadArena&) = delete;
 
   size_t slot_bytes() const { return slot_bytes_; }
-  bool Fits(size_t n) const { return n <= slot_bytes_ && slot_bytes_ != 0; }
+  bool Fits(size_t n) const { return n <= slot_bytes_; }
 
   /// Copies `n` bytes (n must satisfy Fits) into slot `index`.
   void Store(size_t index, const char* data, size_t n) {

@@ -177,11 +177,10 @@ SoakSample Snapshot(ids::ShardedIds& engine, sim::Time when,
     s.media_index += fb.media_index_count();
     s.alert_sigs += vids.alert_sig_count();
   }
-  // The coordinator replays the aggregate (flood/DRDoS) alerts itself;
-  // those never touch any shard's "vids.alerts" counter.
-  auto merged = engine.MergedMetrics();
-  s.alerts_total = merged.GetCounter("vids.alerts").value() +
-                   merged.GetCounter("sharded.coord_alerts").value();
+  // "vids.alerts" folds the coordinator Vids too, which raises the
+  // aggregate (flood/DRDoS/behavior) alerts.
+  s.alerts_total =
+      engine.MergedMetrics().GetCounter("vids.alerts").value();
   s.alerts_retained = engine.alerts().size();
   return s;
 }

@@ -84,7 +84,7 @@ struct SoakConfig {
   /// 0 = classic single-threaded drive straight into Vids::Inspect().
   /// N >= 1 routes the same workload through a ShardedIds with N worker
   /// threads; samples then cover the summed shard state plus the
-  /// coordinator's router/replay maps.
+  /// coordinator's owner table and aggregate Vids.
   int shards = 0;
   /// Per-ring slot count for the sharded engine (ignored when shards == 0).
   size_t ring_capacity = 1024;

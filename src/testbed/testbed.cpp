@@ -258,12 +258,17 @@ void Testbed::StartWorkload(WorkloadConfig workload) {
     UaNode* caller = uas_a_[i].get();
     auto caller_rng = std::make_shared<common::Stream>(
         rng_.Fork("workload:" + std::to_string(i)));
-    // Self-rescheduling call loop per caller.
+    // Self-rescheduling call loop per caller. The loop holds itself only
+    // weakly; the pending call event holds it strongly, so the loop lives
+    // exactly as long as the scheduler keeps it queued (a self-owning
+    // closure would be a reference cycle and leak).
     auto place_next = std::make_shared<std::function<void()>>();
-    *place_next = [this, caller, caller_rng, place_next, workload] {
+    std::weak_ptr<std::function<void()>> weak_next = place_next;
+    *place_next = [this, caller, caller_rng, weak_next, workload] {
       const auto pause = sim::Duration::FromSeconds(
           caller_rng->NextExponential(workload.mean_intercall.ToSeconds()));
-      scheduler_.ScheduleAfter(pause, [this, caller, caller_rng, place_next,
+      scheduler_.ScheduleAfter(pause, [this, caller, caller_rng,
+                                       place_next = weak_next.lock(),
                                        workload] {
         const auto callee_index =
             caller_rng->NextInRange(0, uas_b_.size() - 1);

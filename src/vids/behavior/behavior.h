@@ -19,11 +19,11 @@
 // and the open-call TTL, so a swept-and-recreated profile reacts to the
 // next event exactly like a stale retained one (expired windows restart,
 // expired distinct-slots are ignored, expired open calls are unclosable,
-// the cooldown has lapsed either way). The plain Vids feeds it inline from
-// the inspect path; the sharded engine feeds the coordinator's instance
-// from the frontier-gated aggregate replay — both instances see the same
-// time-ordered event stream, so they emit byte-identical alerts regardless
-// of shard or producer count.
+// the cooldown has lapsed either way). Vids feeds it through FeedAggregate:
+// the plain Vids from its own inspect path, the sharded engine's
+// coordinator Vids from the frontier-gated aggregate replay — both see the
+// same time-ordered event stream, so they emit byte-identical alerts
+// regardless of shard or producer count.
 //
 // Allocation discipline: the steady-state feed path (existing profile) is
 // allocation-free — transparent string_view map probes, fixed-slot distinct
@@ -103,9 +103,8 @@ struct BehaviorConfig {
   int alert_score = 1000;
   int critical_score = 3000;
   /// Per-profile re-alert suppression. Must be at least the Vids
-  /// alert_dedup_window so the plain engine's dedup table never fires on a
-  /// behavioral alert — that keeps the plain and coordinator emission
-  /// streams identical by construction.
+  /// alert_dedup_window so the Vids dedup table never fires on a
+  /// behavioral alert — the emission stream stays the engine's alone.
   sim::Duration alert_cooldown = sim::Duration::Seconds(10);
   /// A call still open after this long can no longer be closed (no
   /// duration recorded). Bounds the open-call slots *and* is part of the
@@ -123,8 +122,7 @@ struct BehaviorConfig {
 
 class BehaviorEngine {
  public:
-  /// Receives every emitted alert. The plain Vids routes this into
-  /// RaiseAlert; the sharded coordinator into EmitAlert.
+  /// Receives every emitted alert. Vids routes this into RaiseAlert.
   using AlertSink = std::function<void(Alert&&)>;
 
   explicit BehaviorEngine(const BehaviorConfig& config);

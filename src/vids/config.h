@@ -91,8 +91,8 @@ struct DetectionConfig {
 
   // --- Behavioral anomaly layer (DESIGN.md §16) ---
   /// Per-endpoint profiling/scoring thresholds and weights. Rides inside
-  /// DetectionConfig so the sharded engine's per-shard Vids and the
-  /// coordinator's replay-side engine are configured identically for free.
+  /// DetectionConfig so the sharded engine's per-shard Vids and its
+  /// coordinator Vids are configured identically for free.
   behavior::BehaviorConfig behavior;
 };
 

@@ -10,9 +10,7 @@ namespace vids::ids {
 namespace {
 
 // Dotted-quad into a caller-provided stack buffer (the classifier's
-// AssignIp shape) — the aggregate hook's DRDoS key must always be the
-// victim IP from the packet itself, never an event arg that could be
-// absent, and formatting it here keeps the hook path allocation-free.
+// AssignIp shape), so keying the DRDoS event stays allocation-free.
 std::string_view FormatIpv4(char (&buf)[16], net::IpAddress ip) {
   char* out = buf;
   const uint32_t bits = ip.bits();
@@ -65,8 +63,7 @@ Vids::Vids(sim::Scheduler& scheduler, DetectionConfig detection,
       });
   // Behavioral alerts ride the normal alert path. The engine's own
   // cooldown (>= the dedup window by contract) means RaiseAlert's dedup
-  // never suppresses one — the emission stream is the engine's alone, so
-  // the sharded coordinator's instance reproduces it byte-for-byte.
+  // never suppresses one — the emission stream is the engine's alone.
   behavior_.set_alert_sink([this](Alert&& alert) {
     RaiseAlert(std::move(alert));
   });
@@ -156,23 +153,11 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
   const std::string* kind = packet.event.ArgStr(argkey::kKind);
   const bool is_response = kind != nullptr && *kind == "response";
   if (created && is_response) {
-    if (aggregate_hook_) {
-      // Sharded deployment: the victim-keyed count spans shards, so the
-      // event goes up to the coordinator's window counter instead. The key
-      // is the victim IP straight from the packet, matching the keying of
-      // GetOrCreateDrdosGroup below.
-      char victim[16];
-      aggregate_hook_(AggregateKind::kUnsolicitedResponse,
-                      FormatIpv4(victim, packet.dst.ip), packet);
-    } else {
-      auto& drdos_group = fact_base_.GetOrCreateDrdosGroup(packet.dst.ip);
-      efsm::Event unsolicited;
-      unsolicited.name = std::string(kUnsolicitedEvent);
-      unsolicited.args = packet.event.args;
-      if (auto* machine = drdos_group.Find("drdos")) {
-        drdos_group.DeliverData(*machine, unsolicited);
-      }
-    }
+    // Keyed by the victim IP straight from the packet, never an event arg
+    // that could be absent.
+    char victim[16];
+    EmitAggregate(AggregateKind::kUnsolicitedResponse,
+                  FormatIpv4(victim, packet.dst.ip), packet);
   }
 
   // Distribute to the call's machines: specification first (it exports the
@@ -189,15 +174,7 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
   if (!is_response && !packet.dest_key.empty()) {
     const std::string* method = packet.event.ArgStr(argkey::kMethod);
     if (method != nullptr && *method == "INVITE") {
-      if (aggregate_hook_) {
-        aggregate_hook_(AggregateKind::kInviteRequest, packet.dest_key,
-                        packet);
-      } else {
-        auto& flood_group = fact_base_.GetOrCreateInviteFlood(packet.dest_key);
-        if (auto* machine = flood_group.Find("invite-flood")) {
-          flood_group.DeliverData(*machine, packet.event);
-        }
-      }
+      EmitAggregate(AggregateKind::kInviteRequest, packet.dest_key, packet);
     }
   }
 
@@ -224,26 +201,13 @@ void Vids::FeedBehavior(const ClassifiedPacket& packet, bool is_response) {
     // Initial INVITE (no To tag): a call start attributed to the caller.
     const std::string* from = packet.event.ArgStr(argkey::kFrom);
     if (from == nullptr) return;
-    if (aggregate_hook_) {
-      aggregate_hook_(AggregateKind::kBehaviorCallStart, *from, packet);
-    } else {
-      const std::string* ua = packet.event.ArgStr(argkey::kUserAgent);
-      behavior_.OnCallStart(
-          scheduler_.Now(), *from, packet.dest_key,
-          ua != nullptr ? std::string_view(*ua) : std::string_view(),
-          behavior::BehaviorEngine::HashKey(packet.call_key));
-    }
+    EmitAggregate(AggregateKind::kBehaviorCallStart, *from, packet);
     return;
   }
   if (!is_response && *method == "BYE") {
     const std::string* from = packet.event.ArgStr(argkey::kFrom);
     if (from == nullptr) return;
-    if (aggregate_hook_) {
-      aggregate_hook_(AggregateKind::kBehaviorCallEnd, *from, packet);
-    } else {
-      behavior_.OnCallEnd(scheduler_.Now(), *from,
-                          behavior::BehaviorEngine::HashKey(packet.call_key));
-    }
+    EmitAggregate(AggregateKind::kBehaviorCallEnd, *from, packet);
     return;
   }
   if (is_response && *method == "REGISTER") {
@@ -258,16 +222,101 @@ void Vids::FeedBehavior(const ClassifiedPacket& packet, bool is_response) {
         *status == 401 || *status == 403 || *status == 407;
     const bool success = *status >= 200 && *status < 300;
     if (!auth_failure && !success) return;
-    if (aggregate_hook_) {
-      aggregate_hook_(auth_failure ? AggregateKind::kBehaviorRegFailure
-                                   : AggregateKind::kBehaviorRegSuccess,
-                      *to, packet);
-    } else if (auth_failure) {
-      behavior_.OnRegFailure(scheduler_.Now(), *to,
-                             static_cast<uint64_t>(packet.dst.ip.bits()));
+    EmitAggregate(auth_failure ? AggregateKind::kBehaviorRegFailure
+                               : AggregateKind::kBehaviorRegSuccess,
+                  *to, packet);
+  }
+}
+
+void Vids::EmitAggregate(AggregateKind kind, std::string_view key,
+                         const ClassifiedPacket& packet) {
+  const auto assign = [](std::string& dst, const std::string* src) {
+    if (src != nullptr) {
+      dst.assign(*src);
     } else {
-      behavior_.OnRegSuccess(scheduler_.Now(), *to);
+      dst.clear();
     }
+  };
+  // Every field is written on every call (the event is reused), but only
+  // the ones its kind's consumer reads carry packet data.
+  AggregateEvent& e = agg_scratch_;
+  e.when = scheduler_.Now();
+  e.kind = kind;
+  e.key.assign(key);
+  const bool window = kind == AggregateKind::kUnsolicitedResponse ||
+                      kind == AggregateKind::kInviteRequest;
+  assign(e.src_ip, window ? packet.event.ArgStr(argkey::kSrcIp) : nullptr);
+  assign(e.dst_ip, window ? packet.event.ArgStr(argkey::kDstIp) : nullptr);
+  const bool call_start = kind == AggregateKind::kBehaviorCallStart;
+  e.peer.assign(call_start ? std::string_view(packet.dest_key)
+                           : std::string_view());
+  assign(e.ua, call_start ? packet.event.ArgStr(argkey::kUserAgent) : nullptr);
+  switch (kind) {
+    case AggregateKind::kUnsolicitedResponse:
+    case AggregateKind::kBehaviorRegFailure:
+      e.aux = static_cast<uint64_t>(packet.dst.ip.bits());
+      break;
+    case AggregateKind::kBehaviorCallStart:
+    case AggregateKind::kBehaviorCallEnd:
+      e.aux = behavior::BehaviorEngine::HashKey(packet.call_key);
+      break;
+    case AggregateKind::kInviteRequest:
+    case AggregateKind::kBehaviorRegSuccess:
+      e.aux = 0;
+      break;
+  }
+  if (aggregate_hook_) {
+    aggregate_hook_(e);
+  } else {
+    FeedAggregate(e);
+  }
+}
+
+void Vids::FeedAggregate(const AggregateEvent& event) {
+  const auto set_ip = [](efsm::Value& slot, const std::string& ip) {
+    if (ip.empty()) {
+      slot = efsm::Value{};  // renders as "?" in the alert detail
+    } else if (auto* str = std::get_if<std::string>(&slot)) {
+      str->assign(ip);
+    } else {
+      slot.emplace<std::string>(ip);
+    }
+  };
+  const auto count = [&](efsm::MachineGroup& group,
+                         std::string_view machine_name,
+                         std::string_view event_name) {
+    // The window counter's input: the counted event plus the addresses its
+    // attack alert reports.
+    window_event_.name.assign(event_name);
+    set_ip(window_event_.args.Slot(0, argkey::kSrcIp), event.src_ip);
+    set_ip(window_event_.args.Slot(1, argkey::kDstIp), event.dst_ip);
+    if (auto* machine = group.Find(machine_name)) {
+      group.DeliverData(*machine, window_event_);
+    }
+  };
+  switch (event.kind) {
+    case AggregateKind::kUnsolicitedResponse:
+      count(fact_base_.GetOrCreateDrdosGroup(
+                net::IpAddress(static_cast<uint32_t>(event.aux))),
+            "drdos", kUnsolicitedEvent);
+      return;
+    case AggregateKind::kInviteRequest:
+      count(fact_base_.GetOrCreateInviteFlood(event.key), "invite-flood",
+            kSipEvent);
+      return;
+    case AggregateKind::kBehaviorCallStart:
+      behavior_.OnCallStart(event.when, event.key, event.peer, event.ua,
+                            event.aux);
+      return;
+    case AggregateKind::kBehaviorCallEnd:
+      behavior_.OnCallEnd(event.when, event.key, event.aux);
+      return;
+    case AggregateKind::kBehaviorRegFailure:
+      behavior_.OnRegFailure(event.when, event.key, event.aux);
+      return;
+    case AggregateKind::kBehaviorRegSuccess:
+      behavior_.OnRegSuccess(event.when, event.key);
+      return;
   }
 }
 

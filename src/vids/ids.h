@@ -143,19 +143,38 @@ class Vids : public efsm::Observer {
     kBehaviorRegFailure,   // REGISTER 401/403/407, keyed by target AOR (To)
     kBehaviorRegSuccess,   // REGISTER 2xx, keyed by target AOR (To)
   };
-  /// When an aggregate hook is installed the DRDoS / INVITE-flood window
-  /// counters and the local behavior engine are NOT fed; the hook receives
-  /// every event that would have fed them instead (key = dest AOR for
-  /// kInviteRequest, dotted victim IP — packet.dst.ip, always present —
-  /// for kUnsolicitedResponse, the profiled entity AOR for the behavior
-  /// kinds). ShardedIds
-  /// installs one on every shard and replays the events into coordinator-
-  /// side window counters and its own BehaviorEngine, so the aggregate
-  /// detectors see the global event stream regardless of how calls are
-  /// partitioned. All other detection (per-call, per-media-endpoint) is
-  /// untouched.
-  using AggregateHook = std::function<void(
-      AggregateKind, std::string_view key, const ClassifiedPacket& packet)>;
+  /// One aggregate event: everything any aggregate detector reads from the
+  /// packet that produced it. Self-contained (owned strings, no packet
+  /// reference), so the sharded engine can stage it, ship it upstream and
+  /// replay it through FeedAggregate on another Vids.
+  struct AggregateEvent {
+    sim::Time when;
+    AggregateKind kind{};
+    /// Destination AOR (INVITE flood), dotted victim IP (DRDoS) or the
+    /// profiled entity AOR (behavior kinds).
+    std::string key;
+    std::string src_ip;  // window kinds: packet addresses, for the alert
+    std::string dst_ip;  // detail
+    std::string peer;  // call start: destination AOR
+    std::string ua;    // call start: User-Agent header
+    /// Call-key hash (call start/end, BYE↔INVITE pairing), the registering
+    /// client's IP bits (REGISTER failure) or the victim IP bits (DRDoS).
+    uint64_t aux = 0;
+  };
+  /// Runs one aggregate event through this engine's aggregate detectors:
+  /// the fact base's INVITE-flood / DRDoS window-counter groups (the
+  /// BuildWindowCounter EFSM, alert dedup included) and the behavior
+  /// engine. Window timers run on this Vids's scheduler, which must already
+  /// stand at `event.when`.
+  void FeedAggregate(const AggregateEvent& event);
+  /// When an aggregate hook is installed, every aggregate event goes to the
+  /// hook instead of FeedAggregate. ShardedIds installs one on every shard
+  /// and feeds the merged, time-ordered stream of all shards' events into
+  /// its coordinator's own Vids through FeedAggregate — the same detectors
+  /// the inline engine runs, so the aggregate detectors see the global
+  /// event stream regardless of how calls are partitioned. All other
+  /// detection (per-call, per-media-endpoint) is untouched.
+  using AggregateHook = std::function<void(const AggregateEvent&)>;
   void set_aggregate_hook(AggregateHook hook) {
     aggregate_hook_ = std::move(hook);
   }
@@ -164,8 +183,8 @@ class Vids : public efsm::Observer {
   CallStateFactBase& fact_base() { return fact_base_; }
   const CallStateFactBase& fact_base() const { return fact_base_; }
   const DetectionConfig& detection() const { return detection_; }
-  /// The behavioral anomaly layer (DESIGN.md §16). Fed inline from the
-  /// inspect path unless an aggregate hook forwards the events upstream;
+  /// The behavioral anomaly layer (DESIGN.md §16). Fed through
+  /// FeedAggregate unless an aggregate hook forwards the events upstream;
   /// swept on the fact base's sweep cadence.
   behavior::BehaviorEngine& behavior() { return behavior_; }
   const behavior::BehaviorEngine& behavior() const { return behavior_; }
@@ -190,10 +209,13 @@ class Vids : public efsm::Observer {
 
  private:
   void HandleSip(const ClassifiedPacket& packet);
-  /// Routes the packet's behavior-profile events (call start/end, REGISTER
-  /// finals) into the local engine, or up the aggregate hook when one is
-  /// installed.
+  /// Emits the packet's behavior-profile events (call start/end, REGISTER
+  /// finals) through EmitAggregate.
   void FeedBehavior(const ClassifiedPacket& packet, bool is_response);
+  /// Fills the reused aggregate event from `packet` and routes it: up the
+  /// aggregate hook when one is installed, into FeedAggregate otherwise.
+  void EmitAggregate(AggregateKind kind, std::string_view key,
+                     const ClassifiedPacket& packet);
   void HandleRtp(const ClassifiedPacket& packet);
   void HandleRtcp(const ClassifiedPacket& packet);
   void RefreshMediaIndex(efsm::MachineGroup& group,
@@ -252,6 +274,10 @@ class Vids : public efsm::Observer {
   std::function<void(const Alert&)> alert_callback_;
   TransitionTrace transition_trace_;
   AggregateHook aggregate_hook_;
+  // Reused by EmitAggregate / FeedAggregate, so the steady-state aggregate
+  // path allocates nothing.
+  AggregateEvent agg_scratch_;
+  efsm::Event window_event_;
   /// Dedup: last alert time per (group, machine, classification). Bounded:
   /// PruneAlertSigs (driven by the fact-base sweep) expires stale entries
   /// and evicts those of reclaimed groups.

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <optional>
 
+#include "common/backoff.h"
 #include "rtp/rtcp.h"
-#include "vids/classifier.h"
-#include "vids/patterns.h"
 
 namespace vids::ids {
 
@@ -44,6 +42,7 @@ void AssignAlert(Alert& dst, const Alert& src) {
   dst.group.assign(src.group);
   dst.state.assign(src.state);
   dst.detail.assign(src.detail);
+  dst.trigger.assign(src.trigger);
   dst.provenance.resize(src.provenance.size());
   for (size_t i = 0; i < src.provenance.size(); ++i) {
     dst.provenance[i].assign(src.provenance[i]);
@@ -52,7 +51,7 @@ void AssignAlert(Alert& dst, const Alert& src) {
 
 // Hard cap on a shard's held-back aggregate events. A flood that outruns
 // agg_hold aging forces a full ship instead of unbounded staging growth.
-constexpr size_t kMaxHeldAggEvents = 1024;
+constexpr size_t kMaxStagedAggregates = 1024;
 
 int64_t MinOf(const std::vector<int64_t>& values) {
   int64_t m = INT64_MAX;
@@ -107,11 +106,8 @@ void ShardedIds::IngestPort::Close() { engine_.PortClose(*this); }
 
 ShardedIds::ShardedIds(ShardedConfig config)
     : config_(config),
-      behavior_(config_.detection.behavior),
+      coord_vids_(coord_scheduler_, config_.detection, config_.cost),
       m_agg_events_(&coord_metrics_.GetCounter("sharded.agg_events")),
-      m_coord_alerts_(&coord_metrics_.GetCounter("sharded.coord_alerts")),
-      m_coord_suppressed_(
-          &coord_metrics_.GetCounter("sharded.coord_alerts_suppressed")),
       m_flushes_(&coord_metrics_.GetCounter("sharded.flushes")),
       m_escalations_(&coord_metrics_.GetCounter("sharded.agg_escalations")),
       m_watchdog_stalls_(
@@ -134,14 +130,12 @@ ShardedIds::ShardedIds(ShardedConfig config)
     trace_on_ = true;
     trace_mask_ = period - 1;
   }
-  // Behavioral alerts from the replay-fed coordinator engine enter the
-  // retained history through the same canonical insert as every replayed
-  // aggregate alert. The engine's own cooldown is the only dedup — exactly
-  // like the plain engine, where RaiseAlert's window never fires on them.
-  behavior_.set_alert_sink([this](Alert&& alert) {
-    m_coord_alerts_->Inc();
-    EmitAlert(std::move(alert));
-  });
+  // The coordinator Vids's aggregate alerts enter the retained history
+  // through the same canonical insert as every shard alert; like a shard,
+  // it keeps only a short tail of its own.
+  coord_vids_.set_alert_callback(
+      [this](const Alert& alert) { EmitAlert(alert); });
+  coord_vids_.set_max_retained_alerts(4);
   watchdog_threshold_ns_ = config_.watchdog_stall_ms * 1'000'000;
   // Poll well inside the deadline (threshold/8, floor 1 ms) so an episode
   // accrues several consecutive checks before it can alert — the
@@ -153,14 +147,9 @@ ShardedIds::ShardedIds(ShardedConfig config)
   // events inside one window globally, some shard saw at least
   // ceil((threshold + 1) / shards) of them — so a shard whose local sketch
   // holds that many events within a window-span knows the key could be in
-  // an over-threshold window and turns it hot. Fractions below 1.0 shrink
-  // the share (earlier escalation, more eager shipping); above 1.0 would
-  // let a real flood hide below every shard's share, so clamp.
-  const double frac = std::clamp(config_.agg_escalation_fraction, 0.0, 1.0);
+  // an over-threshold window and turns it hot.
   const auto share = [&](int threshold) {
-    const double target =
-        frac * static_cast<double>(threshold + 1) / static_cast<double>(n);
-    return std::max<int64_t>(1, static_cast<int64_t>(std::ceil(target)));
+    return std::max<int64_t>(1, (int64_t{threshold} + n) / n);
   };
   esc_invite_share_ = share(config_.detection.invite_flood_threshold);
   esc_drdos_share_ = share(config_.detection.drdos_threshold);
@@ -168,9 +157,8 @@ ShardedIds::ShardedIds(ShardedConfig config)
   pending_.resize(static_cast<size_t>(n));
   shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>(config_.producers,
-                                         config_.ring_capacity,
-                                         config_.arena_slot_bytes);
+    auto shard =
+        std::make_unique<Shard>(config_.producers, config_.ring_capacity);
     shard->index = i;
     shard->scheduler = std::make_unique<sim::Scheduler>();
     shard->vids = std::make_unique<Vids>(*shard->scheduler, config_.detection,
@@ -202,48 +190,12 @@ ShardedIds::ShardedIds(ShardedConfig config)
         AssignAlert(up.alert, alert);
       });
     });
-    // Always hook the aggregate feeds — even with one shard — so flood and
-    // DRDoS detection take the identical (replayed) code path for every
+    // Always hook the aggregate feeds — even with one shard — so the
+    // aggregate detectors take the identical (replayed) code path for every
     // shard count. Equivalence across N is then true by construction.
     shard->vids->set_aggregate_hook(
-        [this, sp](Vids::AggregateKind kind, std::string_view key,
-                   const ClassifiedPacket& packet) {
-          const std::string* src = packet.event.ArgStr(argkey::kSrcIp);
-          const std::string* dst = packet.event.ArgStr(argkey::kDstIp);
-          // Behavior kinds carry their per-kind extras: the call-start peer
-          // (destination AOR) and User-Agent, and an aux word — the call-key
-          // hash for start/end (BYE↔INVITE pairing) or the registering
-          // client's IP bits for auth failures (source diversity).
-          std::string_view peer;
-          std::string_view ua;
-          uint64_t aux = 0;
-          switch (kind) {
-            case Vids::AggregateKind::kBehaviorCallStart: {
-              peer = packet.dest_key;
-              if (const std::string* s =
-                      packet.event.ArgStr(argkey::kUserAgent)) {
-                ua = *s;
-              }
-              aux = behavior::BehaviorEngine::HashKey(packet.call_key);
-              break;
-            }
-            case Vids::AggregateKind::kBehaviorCallEnd:
-              aux = behavior::BehaviorEngine::HashKey(packet.call_key);
-              break;
-            case Vids::AggregateKind::kBehaviorRegFailure:
-              aux = static_cast<uint64_t>(packet.dst.ip.bits());
-              break;
-            default:
-              break;
-          }
-          // Dest AOR (INVITE flood), dotted victim IP (DRDoS) or profiled
-          // entity AOR (behavior) — the hook contract guarantees the key is
-          // populated for all kinds.
-          BufferAggEvent(
-              *sp, kind, key,
-              src != nullptr ? std::string_view(*src) : std::string_view(),
-              dst != nullptr ? std::string_view(*dst) : std::string_view(),
-              peer, ua, aux);
+        [this, sp](const Vids::AggregateEvent& event) {
+          StageAggregate(*sp, event);
         });
     shards_.push_back(std::move(shard));
   }
@@ -278,7 +230,7 @@ void ShardedIds::PushUp(Shard& shard, Fill&& fill) {
     // quiet between Ingest/Pump calls — back off to a short sleep instead
     // of spinning.
     shard.up.CommitPushN();
-    common::SpinBackoff backoff(config_.idle_spins, config_.idle_sleep_us);
+    common::SpinBackoff backoff;
     do {
       ++shard.up_stalls;
       backoff.Pause();
@@ -313,45 +265,26 @@ void ShardedIds::RecordSpan(Shard& shard, int64_t t0, int64_t t_dequeue) {
   shard.spans.Record(rec);
 }
 
-void ShardedIds::BufferAggEvent(Shard& shard, Vids::AggregateKind kind,
-                                std::string_view key, std::string_view src_ip,
-                                std::string_view dst_ip, std::string_view peer,
-                                std::string_view ua, uint64_t aux) {
+void ShardedIds::StageAggregate(Shard& shard,
+                                const Vids::AggregateEvent& event) {
   AggLocal& a = shard.agg;
-  const int64_t t = shard.scheduler->Now().nanos();
+  const int64_t t = event.when.nanos();
 
   // Stage the event. Retired slots keep their string capacities; compact
-  // by sliding the live tail down (swap, not copy) so the vector's size is
-  // bounded by the peak number of simultaneously-held events.
+  // by rotating the live tail to the front (swaps, no copies) so the
+  // vector's size is bounded by the peak number of simultaneously-held
+  // events.
   if (a.end == a.buf.size() && a.begin > 0) {
-    const size_t live = a.live();
-    for (size_t i = 0; i < live; ++i) {
-      HeldAggEvent& dst = a.buf[i];
-      HeldAggEvent& src = a.buf[a.begin + i];
-      dst.when_ns = src.when_ns;
-      dst.kind = src.kind;
-      dst.key.swap(src.key);
-      dst.src_ip.swap(src.src_ip);
-      dst.dst_ip.swap(src.dst_ip);
-      dst.peer.swap(src.peer);
-      dst.ua.swap(src.ua);
-      dst.aux = src.aux;
-    }
+    std::rotate(a.buf.begin(),
+                a.buf.begin() + static_cast<ptrdiff_t>(a.begin),
+                a.buf.end());
+    a.end -= a.begin;
     a.begin = 0;
-    a.end = live;
   }
   if (a.end == a.buf.size()) a.buf.emplace_back();
-  HeldAggEvent& e = a.buf[a.end++];
-  e.when_ns = t;
-  e.kind = kind;
-  e.key.assign(key);
-  e.src_ip.assign(src_ip);
-  e.dst_ip.assign(dst_ip);
-  e.peer.assign(peer);
-  e.ua.assign(ua);
-  e.aux = aux;
+  a.buf[a.end++] = event;  // assignment reuses the slot's string capacities
   ++a.events_buffered;
-  if (a.live() > kMaxHeldAggEvents) {
+  if (a.live() > kMaxStagedAggregates) {
     ShipAggPrefix(shard, t);  // ships everything: `t` is the newest time
   }
 
@@ -359,6 +292,7 @@ void ShardedIds::BufferAggEvent(Shard& shard, Vids::AggregateKind kind,
   // the ship latency of keys that might cross a flood/DRDoS threshold, and
   // hotness only affects ship latency, never which events ship — profile
   // scoring happens solely on the coordinator after the ordered replay.
+  const Vids::AggregateKind kind = event.kind;
   if (kind != Vids::AggregateKind::kUnsolicitedResponse &&
       kind != Vids::AggregateKind::kInviteRequest) {
     return;
@@ -373,9 +307,9 @@ void ShardedIds::BufferAggEvent(Shard& shard, Vids::AggregateKind kind,
   const int64_t window_ns = (invite ? config_.detection.invite_flood_window
                                     : config_.detection.drdos_window)
                                 .nanos();
-  auto it = sketches.find(key);
+  auto it = sketches.find(event.key);
   if (it == sketches.end()) {
-    it = sketches.emplace(std::string(key), AggSketch{}).first;
+    it = sketches.emplace(event.key, AggSketch{}).first;
   }
   AggSketch& s = it->second;
   s.last_event_ns = t;
@@ -393,30 +327,19 @@ void ShardedIds::BufferAggEvent(Shard& shard, Vids::AggregateKind kind,
   PushUp(shard, [&](UpMsg& up) {
     up.kind = UpMsg::Kind::kAggHot;
     up.when_ns = t;
-    up.agg = kind;
-    up.key.assign(key);
-    up.src_ip.clear();
-    up.dst_ip.clear();
-    up.peer.clear();
-    up.ua.clear();
-    up.aux = 0;
+    up.agg.kind = kind;
+    up.agg.key.assign(event.key);
   });
 }
 
 void ShardedIds::ShipAggPrefix(Shard& shard, int64_t horizon) {
   AggLocal& a = shard.agg;
-  while (a.begin < a.end && a.buf[a.begin].when_ns <= horizon) {
-    const HeldAggEvent& e = a.buf[a.begin];
+  while (a.begin < a.end && a.buf[a.begin].when.nanos() <= horizon) {
+    const Vids::AggregateEvent& e = a.buf[a.begin];
     PushUp(shard, [&](UpMsg& up) {
       up.kind = UpMsg::Kind::kAgg;
-      up.when_ns = e.when_ns;
-      up.agg = e.kind;
-      up.key.assign(e.key);
-      up.src_ip.assign(e.src_ip);
-      up.dst_ip.assign(e.dst_ip);
-      up.peer.assign(e.peer);
-      up.ua.assign(e.ua);
-      up.aux = e.aux;
+      up.when_ns = e.when.nanos();
+      up.agg = e;  // assignment reuses the slot's string capacities
     });
     ++a.begin;
     ++a.events_shipped;
@@ -428,9 +351,9 @@ void ShardedIds::ShipAggPrefix(Shard& shard, int64_t horizon) {
 }
 
 void ShardedIds::PruneAggSketches(Shard& shard, int64_t now_ns) {
-  // Mirror the coordinator's window pruning: a sketch idle past the keyed
-  // horizon can restart cold (hot keys cool down — hotness only affects
-  // ship latency, never which events ship, so cooling is always safe).
+  // A sketch idle past the keyed horizon can restart cold (hot keys cool
+  // down — hotness only affects ship latency, never which events ship, so
+  // cooling is always safe).
   const int64_t idle_ns = config_.detection.keyed_idle_timeout.nanos();
   const auto prune = [&](StringKeyed<AggSketch>& sketches) {
     std::erase_if(sketches, [&](const auto& kv) {
@@ -515,7 +438,7 @@ void ShardedIds::ProcessLaneMsg(Shard& shard, Lane& lane, size_t at,
 
 void ShardedIds::WorkerLoop(Shard& shard) {
   net::Datagram scratch;
-  common::SpinBackoff backoff(config_.idle_spins, config_.idle_sleep_us);
+  common::SpinBackoff backoff;
   const size_t batch_max = config_.batch_max;
   const int64_t hold_ns = config_.agg_hold.nanos();
   // Heartbeats only exist for the watchdog; the disabled configuration
@@ -681,7 +604,7 @@ void ShardedIds::WorkerLoop(Shard& shard) {
       const int64_t agg_complete =
           shard.agg.live() == 0
               ? watermark
-              : shard.agg.buf[shard.agg.begin].when_ns - 1;
+              : shard.agg.buf[shard.agg.begin].when.nanos() - 1;
       shard.agg_complete_ns.store(agg_complete, std::memory_order_release);
       shard.processed_ns.store(watermark, std::memory_order_release);
       // Heartbeat last: it vouches for the whole retired round. A worker
@@ -860,7 +783,7 @@ void ShardedIds::PushLane(IngestPort& port, int shard_index, Fill&& fill) {
     // waits, exactly the PR 5 rule that keeps the ring cycle deadlock-free;
     // detached producer threads back off and rely on the driver pumping.
     CommitPortLanes(port, FlushReason::kFull);
-    common::SpinBackoff backoff(config_.idle_spins, config_.idle_sleep_us);
+    common::SpinBackoff backoff;
     do {
       port.m_stalls_->Inc();
       ++port.lane_stalls_[static_cast<size_t>(shard_index)];
@@ -1222,30 +1145,20 @@ void ShardedIds::DrainUp() {
           case UpMsg::Kind::kAlert:
             EmitAlert(msg.alert);  // copies; the slot keeps its buffers
             break;
-          case UpMsg::Kind::kAgg: {
+          case UpMsg::Kind::kAgg:
             m_agg_events_->Inc();
-            AggEvent event;
-            event.when_ns = msg.when_ns;
-            event.kind = msg.agg;
-            event.key = msg.key;
-            event.src_ip = msg.src_ip;
-            event.dst_ip = msg.dst_ip;
-            event.peer = msg.peer;
-            event.ua = msg.ua;
-            event.aux = msg.aux;
-            pending_[i].push_back(std::move(event));
+            pending_[i].push_back(msg.agg);
             break;
-          }
           case UpMsg::Kind::kAggHot: {
             m_escalations_->Inc();
-            auto& hot = msg.agg == Vids::AggregateKind::kInviteRequest
+            auto& hot = msg.agg.kind == Vids::AggregateKind::kInviteRequest
                             ? hot_invite_
                             : hot_drdos_;
-            auto it = hot.find(msg.key);
+            auto it = hot.find(msg.agg.key);
             if (it == hot.end()) {
-              hot.emplace(msg.key, msg.when_ns);
+              hot.emplace(msg.agg.key, msg.when_ns);
               hot_pending_.push_back(
-                  HotBroadcast{msg.agg, msg.key, msg.when_ns});
+                  HotBroadcast{msg.agg.kind, msg.agg.key, msg.when_ns});
             } else {
               it->second = std::max(it->second, msg.when_ns);
             }
@@ -1305,98 +1218,23 @@ void ShardedIds::ReplayAggregates(int64_t frontier) {
     int64_t best_t = INT64_MAX;
     for (size_t i = 0; i < pending_.size(); ++i) {
       if (pending_[i].empty()) continue;
-      const int64_t t = pending_[i].front().when_ns;
+      const int64_t t = pending_[i].front().when.nanos();
       if (t <= frontier && t < best_t) {
         best_t = t;
         best = static_cast<int>(i);
       }
     }
     if (best < 0) break;
-    AggEvent event = std::move(pending_[static_cast<size_t>(best)].front());
+    Vids::AggregateEvent event =
+        std::move(pending_[static_cast<size_t>(best)].front());
     pending_[static_cast<size_t>(best)].pop_front();
     ReplayOne(event);
   }
 }
 
-void ShardedIds::ReplayOne(const AggEvent& event) {
-  // Behavior events feed the coordinator-owned engine. The k-way merge
-  // already ordered them by time across shards, so the engine sees the
-  // same time-ordered per-entity stream the plain (unsharded) engine sees
-  // inline — byte-identical alerts by construction (DESIGN.md §16).
-  switch (event.kind) {
-    case Vids::AggregateKind::kBehaviorCallStart:
-      behavior_.OnCallStart(sim::Time::FromNanos(event.when_ns), event.key,
-                            event.peer, event.ua, event.aux);
-      return;
-    case Vids::AggregateKind::kBehaviorCallEnd:
-      behavior_.OnCallEnd(sim::Time::FromNanos(event.when_ns), event.key,
-                          event.aux);
-      return;
-    case Vids::AggregateKind::kBehaviorRegFailure:
-      behavior_.OnRegFailure(sim::Time::FromNanos(event.when_ns), event.key,
-                             event.aux);
-      return;
-    case Vids::AggregateKind::kBehaviorRegSuccess:
-      behavior_.OnRegSuccess(sim::Time::FromNanos(event.when_ns), event.key);
-      return;
-    default:
-      break;
-  }
-  // Exact replay of patterns.cpp BuildWindowCounter + the Vids alert dedup:
-  //  - first event arms T1 (deadline) and sets count = 1;
-  //  - the timer is NOT restarted by further events; at expiry the counter
-  //    resets (lazily: a scheduler timer at `deadline` fires before a
-  //    packet at the same instant, hence the >= check);
-  //  - count > threshold is the attack state; every further event re-enters
-  //    it, deduplicated within alert_dedup_window.
-  const bool invite = event.kind == Vids::AggregateKind::kInviteRequest;
-  auto& windows = invite ? invite_windows_ : drdos_windows_;
-  const int64_t threshold = invite ? config_.detection.invite_flood_threshold
-                                   : config_.detection.drdos_threshold;
-  const int64_t window_ns = (invite ? config_.detection.invite_flood_window
-                                    : config_.detection.drdos_window)
-                                .nanos();
-  const int64_t t = event.when_ns;
-  WinState& w = windows.try_emplace(event.key).first->second;
-  w.last_event_ns = t;
-  if (w.armed && t >= w.deadline_ns) {
-    w.armed = false;
-    w.count = 0;
-  }
-  if (!w.armed) {
-    w.armed = true;
-    w.count = 1;
-    w.deadline_ns = t + window_ns;
-    return;
-  }
-  ++w.count;
-  if (w.count <= threshold) return;  // "within threshold N"
-
-  // Attack state (entry or self-loop).
-  const int64_t dedup_ns = config_.detection.alert_dedup_window.nanos();
-  if (w.alerted_once && t - w.last_alert_ns < dedup_ns) {
-    m_coord_suppressed_->Inc();
-    return;
-  }
-  w.alerted_once = true;
-  w.last_alert_ns = t;
-  m_coord_alerts_->Inc();
-
-  Alert alert;
-  alert.when = sim::Time::FromNanos(t);
-  alert.kind = AlertKind::kAttackPattern;
-  alert.classification =
-      std::string(invite ? kAttackInviteFlood : kAttackDrdos);
-  alert.machine = invite ? "invite-flood" : "drdos";
-  alert.group = (invite ? "flood|" : "drdos|") + event.key;
-  alert.state = alert.classification;
-  alert.detail =
-      "src=" + (event.src_ip.empty() ? std::string("?") : event.src_ip) +
-      " dst=" + (event.dst_ip.empty() ? std::string("?") : event.dst_ip);
-  alert.trigger = alert.machine +
-                  ": aggregate window counter surged beyond threshold N "
-                  "within T1 (coordinator replay)";
-  EmitAlert(std::move(alert));
+void ShardedIds::ReplayOne(const Vids::AggregateEvent& event) {
+  coord_scheduler_.RunUntil(event.when);
+  coord_vids_.FeedAggregate(event);
 }
 
 void ShardedIds::EmitAlert(Alert alert) {
@@ -1485,21 +1323,7 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
           .nanos();
   owner_table_->Prune(now_ns, owner_horizon_ns);
 
-  const int64_t dedup_ns = config_.detection.alert_dedup_window.nanos();
   const int64_t idle_ns = config_.detection.keyed_idle_timeout.nanos();
-  const auto prune_windows = [&](StringKeyed<WinState>& windows) {
-    std::erase_if(windows, [&](const auto& kv) {
-      const WinState& w = kv.second;
-      // Dropping a WinState is equivalent to the timer having fired and the
-      // dedup signature having been evicted — only safe once both are past.
-      const bool window_over = !w.armed || now_ns >= w.deadline_ns;
-      const bool dedup_over =
-          !w.alerted_once || now_ns - w.last_alert_ns >= dedup_ns;
-      return window_over && dedup_over && now_ns - w.last_event_ns > idle_ns;
-    });
-  };
-  prune_windows(invite_windows_);
-  prune_windows(drdos_windows_);
   // Hot-key records age out on the same horizon as the worker sketches, so
   // a key that cools everywhere can re-escalate (and re-broadcast) later.
   const auto prune_hot = [&](StringKeyed<int64_t>& hot) {
@@ -1509,11 +1333,16 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
   };
   prune_hot(hot_invite_);
   prune_hot(hot_drdos_);
-  // Behavior profiles reclaim on their own idle horizon; the sweep is
-  // memory-only (never scores, never alerts), so running it here — on the
-  // flush cadence rather than the plain engine's fact-base sweep cadence —
-  // cannot perturb alert equivalence (DESIGN.md §16).
-  behavior_.Sweep(sim::Time::FromNanos(now_ns));
+  // Every event up to now_ns is replayed, so the coordinator clock may
+  // catch up: window expiries and the fact base's sweep chain run on the
+  // same grid instants as inline. Behavior profiles are swept here too,
+  // because the coordinator's fact base can be empty — its sweep chain
+  // unarmed — while it holds profiles (REGISTER-only traffic). The
+  // behavior sweep is memory-only (never scores, never alerts), so its
+  // cadence cannot perturb alert equivalence (DESIGN.md §16).
+  const sim::Time now = sim::Time::FromNanos(now_ns);
+  coord_scheduler_.RunUntil(now);
+  coord_vids_.behavior().Sweep(now);
 }
 
 void ShardedIds::Stop() {
@@ -1665,19 +1494,21 @@ obs::MetricsRegistry ShardedIds::MergedMetrics() const {
   merged.GetCounter("sharded.agg_events_shipped").Inc(agg_shipped);
   merged.GetGauge("sharded.shards").Set(shards());
   merged.GetGauge("sharded.producers").Set(producers());
+  merged.MergeFrom(coord_vids_.metrics());
   merged.GetGauge("sharded.behavior_profiles")
-      .Set(static_cast<int64_t>(behavior_.profile_count()));
+      .Set(static_cast<int64_t>(behavior().profile_count()));
   return merged;
 }
 
 size_t ShardedIds::TrackedState() const {
-  size_t total = owner_table_->size() + invite_windows_.size() +
-                 drdos_windows_.size() + behavior_.profile_count();
-  for (const auto& shard : shards_) {
-    const CallStateFactBase& fb = shard->vids->fact_base();
-    total += fb.call_count() + fb.keyed_count() + fb.tombstone_count() +
-             fb.media_index_count();
-  }
+  const auto tracked = [](const Vids& vids) {
+    const CallStateFactBase& fb = vids.fact_base();
+    return fb.call_count() + fb.keyed_count() + fb.tombstone_count() +
+           fb.media_index_count();
+  };
+  size_t total = owner_table_->size() + tracked(coord_vids_) +
+                 behavior().profile_count();
+  for (const auto& shard : shards_) total += tracked(*shard->vids);
   return total;
 }
 
@@ -1691,7 +1522,7 @@ size_t ShardedIds::MemoryBytes() const {
       bytes += lane->ring.capacity() * sizeof(ShardMsg) +
                lane->arena.MemoryBytes();
     }
-    bytes += shard->agg.buf.capacity() * sizeof(HeldAggEvent);
+    bytes += shard->agg.buf.capacity() * sizeof(Vids::AggregateEvent);
     for (const auto* sketches :
          {&shard->agg.invite_sketch, &shard->agg.drdos_sketch}) {
       for (const auto& [key, sketch] : *sketches) {
@@ -1701,16 +1532,14 @@ size_t ShardedIds::MemoryBytes() const {
     }
   }
   bytes += owner_table_->MemoryBytes();
-  for (const auto* windows : {&invite_windows_, &drdos_windows_}) {
-    for (const auto& [key, w] : *windows) {
-      bytes += key.capacity() + sizeof(WinState);
-    }
-  }
+  bytes += coord_vids_.fact_base().MemoryBytes();
   for (const auto* hot : {&hot_invite_, &hot_drdos_}) {
     for (const auto& [key, t] : *hot) bytes += key.capacity() + sizeof(int64_t);
   }
-  for (const auto& queue : pending_) bytes += queue.size() * sizeof(AggEvent);
-  bytes += behavior_.MemoryBytes();
+  for (const auto& queue : pending_) {
+    bytes += queue.size() * sizeof(Vids::AggregateEvent);
+  }
+  bytes += behavior().MemoryBytes();
   return bytes;
 }
 

@@ -67,13 +67,15 @@
 // (one thread ingests everything in order), and ShardedIds::Ingest remains
 // the drop-in single-threaded API (port 0 + opportunistic upstream drain).
 //
-// The two detectors whose counting key spans calls — INVITE flooding (per
-// destination AOR) and DRDoS reflection (per victim host) — cannot live in
-// any one shard. Shards buffer their would-be events in a local,
-// time-ordered staging buffer with per-key escalation sketches; the
-// coordinator replays the merged, time-ordered event stream into its own
-// window counters gated on the aggregate-complete frontier. See
-// DESIGN.md §12 for the exactness argument.
+// The detectors whose counting key spans calls — INVITE flooding (per
+// destination AOR), DRDoS reflection (per victim host) and the behavior
+// profiles (per caller / per account) — cannot live in any one shard.
+// Shards buffer their Vids::AggregateEvents in a local, time-ordered
+// staging buffer with per-key escalation sketches; the coordinator feeds
+// the merged, time-ordered event stream, gated on the aggregate-complete
+// frontier, into its own private Vids through Vids::FeedAggregate — the
+// code the inline engine runs. See DESIGN.md §11–§12 for the exactness
+// argument.
 //
 // Thread-ownership invariants (DESIGN.md §11, §15):
 //   - each shard's Scheduler + Vids are touched only by its worker thread;
@@ -101,7 +103,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/payload_arena.h"
 #include "common/spsc_ring.h"
 #include "common/strings.h"
@@ -130,11 +131,6 @@ struct ShardedConfig {
   /// Per-ring slot count (rounded up to a power of two). A full ring
   /// backpressures the producer; it never drops or allocates.
   size_t ring_capacity = 1024;
-  /// Per-slot byte budget of each ingest lane's payload arena (the slab is
-  /// ring_capacity * this). Payloads that fit are memcpy'd into the
-  /// contiguous slab; larger ones fall back to the ring slot's own string.
-  /// 0 disables the arenas (every payload takes the slot-string path).
-  size_t arena_slot_bytes = 2048;
   DetectionConfig detection{};
   CostModel cost{};
   /// Cap on the coordinator's merged alert history (0 = unlimited); same
@@ -153,10 +149,6 @@ struct ShardedConfig {
   /// unpublished across a capture gap that spans almost no wall time.
   /// Flush() and Stop() always publish immediately.
   int64_t batch_flush_us = 50;
-  /// Busy-wait shape for the worker loops: yields before the first sleep,
-  /// then the idle sleep. See common/backoff.h for the defaults.
-  int idle_spins = common::kSpinsBeforeSleep;
-  int64_t idle_sleep_us = common::kIdleSleepMicros;
 
   // --- coordinator-free aggregate path (DESIGN.md §12) ---
   /// How long (simulated time) a shard may hold a cold aggregate event
@@ -165,12 +157,6 @@ struct ShardedConfig {
   /// timestamps, so the alert multiset is unaffected. 0 ships every event
   /// at the end of the batch that produced it (PR-5 behavior, batched).
   sim::Duration agg_hold = sim::Duration::Millis(250);
-  /// Fraction of the per-shard escalation share at which a key turns hot.
-  /// The share is ceil((threshold + 1) / shards): by pigeonhole at least
-  /// one shard reaches it inside any globally over-threshold window, so
-  /// values <= 1.0 preserve exact alerts (lower escalates earlier and
-  /// ships more events eagerly; values above 1.0 are clamped to 1.0).
-  double agg_escalation_fraction = 1.0;
 
   // --- pipeline observability (DESIGN.md §13) ---
   /// Sample one in this many ingested packets (per port) for a pipeline
@@ -361,21 +347,24 @@ class ShardedIds {
     return *shards_[static_cast<size_t>(i)]->scheduler;
   }
 
-  /// The coordinator's behavior engine — the single authority for
+  /// The coordinator Vids's behavior engine — the single authority for
   /// behavioral profiles in a sharded deployment, fed by the aggregate
   /// replay. Post-Flush inspection only.
-  const behavior::BehaviorEngine& behavior() const { return behavior_; }
+  const behavior::BehaviorEngine& behavior() const {
+    return coord_vids_.behavior();
+  }
 
-  /// Fresh registry holding every shard's and every port's metrics folded
-  /// together plus the coordinator's own "sharded.*" counters. Post-Flush
-  /// only.
+  /// Fresh registry holding every shard's, every port's and the
+  /// coordinator Vids's metrics folded together plus the coordinator's own
+  /// "sharded.*" counters. Post-Flush only.
   obs::MetricsRegistry MergedMetrics() const;
 
-  /// Total tracked state across shards (calls + keyed groups + tombstones +
-  /// media index) plus the coordinator's router/replay maps. Post-Flush.
+  /// Total tracked state across shards and the coordinator Vids (calls +
+  /// keyed groups + tombstones + media index), plus the ownership table
+  /// and behavior profiles. Post-Flush.
   size_t TrackedState() const;
   /// Total state footprint in bytes (fact bases, rings, arenas, ownership
-  /// table, coordinator maps). Post-Flush.
+  /// table, coordinator maps and Vids). Post-Flush.
   size_t MemoryBytes() const;
 
   /// Times any producer found a lane full and had to wait. Post-Flush.
@@ -448,28 +437,9 @@ class ShardedIds {
     enum class Kind : uint8_t { kAlert, kAgg, kAggHot, kFlushAck };
     Kind kind = Kind::kAlert;
     int64_t when_ns = 0;
-    Alert alert;                 // kAlert (strings reused in place)
-    Vids::AggregateKind agg{};   // kAgg / kAggHot
-    std::string key;             // kAgg: dest AOR (INVITE) / victim IP
-                                 // (DRDoS) / profiled entity AOR (behavior)
-    std::string src_ip;          // kAgg: for the alert detail
-    std::string dst_ip;
-    std::string peer;            // kAgg behavior: destination AOR
-    std::string ua;              // kAgg behavior: User-Agent header
-    uint64_t aux = 0;            // kAgg behavior: call hash / source id
-    uint64_t token = 0;          // kFlushAck
-  };
-
-  /// One shard-local held-back aggregate event (worker-owned).
-  struct HeldAggEvent {
-    int64_t when_ns = 0;
-    Vids::AggregateKind kind{};
-    std::string key;
-    std::string src_ip;
-    std::string dst_ip;
-    std::string peer;
-    std::string ua;
-    uint64_t aux = 0;
+    Alert alert;               // kAlert (strings reused in place)
+    Vids::AggregateEvent agg;  // kAgg: the event; kAggHot: kind + key
+    uint64_t token = 0;        // kFlushAck
   };
 
   /// Per-key sliding sketch of this shard's most recent aggregate-event
@@ -487,7 +457,7 @@ class ShardedIds {
   /// Worker-owned aggregate staging state. The coordinator may read it
   /// only behind a Flush() barrier (TrackedState/MemoryBytes).
   struct AggLocal {
-    std::vector<HeldAggEvent> buf;  // time-ordered; [begin, end) live
+    std::vector<Vids::AggregateEvent> buf;  // time-ordered; [begin, end) live
     size_t begin = 0;
     size_t end = 0;
     StringKeyed<AggSketch> invite_sketch;
@@ -501,12 +471,17 @@ class ShardedIds {
     size_t live() const { return end - begin; }
   };
 
+  /// Per-slot byte budget of each ingest lane's payload arena (the slab is
+  /// ring_capacity * this). Payloads that fit are memcpy'd into the
+  /// contiguous slab; larger ones fall back to the ring slot's own string.
+  static constexpr size_t kArenaSlotBytes = 2048;
+
   /// One producer→shard ingest lane: SPSC ring + its 1:1 payload slab.
   struct Lane {
     common::SpscRing<ShardMsg> ring;
     common::PayloadArena arena;
-    Lane(size_t ring_capacity, size_t slot_bytes)
-        : ring(ring_capacity), arena(ring.capacity(), slot_bytes) {}
+    explicit Lane(size_t ring_capacity)
+        : ring(ring_capacity), arena(ring.capacity(), kArenaSlotBytes) {}
   };
 
   struct Shard {
@@ -587,37 +562,13 @@ class ShardedIds {
     /// on a full up-ring, and joining it without draining would deadlock.
     std::atomic<bool> done{false};
 
-    Shard(int producers, size_t ring_capacity, size_t arena_slot_bytes)
+    Shard(int producers, size_t ring_capacity)
         : down(ring_capacity), up(ring_capacity) {
       lanes.reserve(static_cast<size_t>(producers));
       for (int p = 0; p < producers; ++p) {
-        lanes.push_back(
-            std::make_unique<Lane>(ring_capacity, arena_slot_bytes));
+        lanes.push_back(std::make_unique<Lane>(ring_capacity));
       }
     }
-  };
-
-  /// One forwarded aggregate-feed event, queued until the frontier passes.
-  struct AggEvent {
-    int64_t when_ns = 0;
-    Vids::AggregateKind kind{};
-    std::string key;
-    std::string src_ip;
-    std::string dst_ip;
-    std::string peer;
-    std::string ua;
-    uint64_t aux = 0;
-  };
-
-  /// Coordinator-side replay of patterns.cpp's BuildWindowCounter (plus the
-  /// Vids-level alert dedup): armed window, event count, lazy timer expiry.
-  struct WinState {
-    bool armed = false;
-    int64_t count = 0;
-    int64_t deadline_ns = 0;
-    int64_t last_alert_ns = 0;
-    bool alerted_once = false;
-    int64_t last_event_ns = 0;
   };
 
   /// Why a producer batch was published — the flush-reason histogram's
@@ -671,10 +622,7 @@ class ShardedIds {
   /// Aggregate hook target (worker thread): stages the event in the
   /// shard-local buffer, updates the key's sliding sketch, and escalates
   /// the key to hot when the sketch crosses the shard's share.
-  void BufferAggEvent(Shard& shard, Vids::AggregateKind kind,
-                      std::string_view key, std::string_view src_ip,
-                      std::string_view dst_ip, std::string_view peer,
-                      std::string_view ua, uint64_t aux);
+  void StageAggregate(Shard& shard, const Vids::AggregateEvent& event);
   /// Ships every held event with when_ns <= `horizon` upstream, in order,
   /// into the open up-batch (not yet committed). Updates agg bookkeeping;
   /// the caller publishes agg_complete_ns after committing.
@@ -716,10 +664,16 @@ class ShardedIds {
   /// agg_complete_ns, acquire) BEFORE the drain that filled pending_;
   /// INT64_MAX replays everything (only valid once the rings are final).
   void ReplayAggregates(int64_t frontier);
-  void ReplayOne(const AggEvent& event);
+  /// Advances the coordinator scheduler to the event's time (window
+  /// expiries and sweeps due by then run first, as inline), then feeds the
+  /// event to the coordinator Vids.
+  void ReplayOne(const Vids::AggregateEvent& event);
   /// Inserts into the retained history at its canonical position (see
   /// alerts()).
   void EmitAlert(Alert alert);
+  /// Flush-time upkeep: prunes the ownership table and hot-key records,
+  /// advances the coordinator Vids to `now_ns` and sweeps its behavior
+  /// profiles.
   void PruneCoordinator(int64_t now_ns);
   /// Pushes one control message to `shard` (coordinator thread only;
   /// drains upstream while it waits out backpressure).
@@ -742,6 +696,14 @@ class ShardedIds {
   int64_t LatestIngestNs() const;
 
   ShardedConfig config_;
+  /// The coordinator's aggregate engine: a private Vids on a private
+  /// scheduler, fed only through FeedAggregate (ReplayOne) — never a
+  /// packet. Its window counters, alert dedup and behavior engine are the
+  /// inline engine's own code, so aggregate alerts match the inline engine
+  /// by construction. Its alerts enter the history through EmitAlert.
+  /// Coordinator thread only.
+  sim::Scheduler coord_scheduler_;
+  Vids coord_vids_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<IngestPort>> ports_;
   /// Shared media-endpoint ownership view (lock-free readers, serialized
@@ -753,19 +715,11 @@ class ShardedIds {
   uint64_t flush_token_ = 0;
   size_t flush_acks_ = 0;
 
-  StringKeyed<WinState> invite_windows_;  // key = destination AOR
-  StringKeyed<WinState> drdos_windows_;   // key = victim IP (dotted)
-  /// Coordinator-side behavioral profiling engine (DESIGN.md §16). Fed
-  /// exclusively from the frontier-gated aggregate replay, so it consumes
-  /// the identical globally time-ordered event stream the plain engine's
-  /// inline instance sees — behavioral alerts are byte-identical across
-  /// shard and producer counts by construction. Swept by PruneCoordinator.
-  behavior::BehaviorEngine behavior_;
-  std::vector<std::deque<AggEvent>> pending_;  // per-shard, time-ordered
+  /// Per-shard, time-ordered aggregate events awaiting the frontier.
+  std::vector<std::deque<Vids::AggregateEvent>> pending_;
 
   /// Keys already broadcast hot, by kind → last escalation time. Dedups the
-  /// broadcast (several shards may escalate one key); pruned with the
-  /// window states once idle.
+  /// broadcast (several shards may escalate one key); pruned once idle.
   StringKeyed<int64_t> hot_invite_;
   StringKeyed<int64_t> hot_drdos_;
   struct HotBroadcast {
@@ -795,8 +749,8 @@ class ShardedIds {
   int64_t last_watchdog_check_ns_ = 0;
   std::vector<ShardHealth> health_;
 
-  /// Per-shard escalation shares: ceil(fraction * (threshold + 1) / shards)
-  /// local events inside one window turn a key hot. Computed once in the
+  /// Per-shard escalation shares: ceil((threshold + 1) / shards) local
+  /// events inside one window turn a key hot. Computed once in the
   /// constructor.
   int64_t esc_invite_share_ = 1;
   int64_t esc_drdos_share_ = 1;
@@ -817,8 +771,6 @@ class ShardedIds {
 
   obs::MetricsRegistry coord_metrics_;
   obs::Counter* m_agg_events_;
-  obs::Counter* m_coord_alerts_;
-  obs::Counter* m_coord_suppressed_;
   obs::Counter* m_flushes_;
   obs::Counter* m_escalations_;
   obs::Counter* m_watchdog_stalls_;

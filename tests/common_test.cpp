@@ -268,17 +268,11 @@ TEST(PayloadArena, StoresAndReadsBackPerSlot) {
   EXPECT_EQ(std::string(arena.Slot(0), c.size()), c);
 }
 
-TEST(PayloadArena, FitsRespectsSlotBoundsAndDisabledArena) {
+TEST(PayloadArena, FitsRespectsSlotBounds) {
   PayloadArena arena(8, 32);
   EXPECT_TRUE(arena.Fits(0));
   EXPECT_TRUE(arena.Fits(32));
   EXPECT_FALSE(arena.Fits(33));  // jumbo payloads take the fallback path
-  // slot_bytes == 0 disables the fast path entirely: nothing "fits", not
-  // even an empty payload, so callers never touch the zero-byte slab.
-  PayloadArena disabled(8, 0);
-  EXPECT_FALSE(disabled.Fits(0));
-  EXPECT_FALSE(disabled.Fits(1));
-  EXPECT_EQ(disabled.MemoryBytes(), 0u);
 }
 
 // ------------------------------------------- producer-side occupancy gauge

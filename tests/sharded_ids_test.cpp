@@ -389,17 +389,15 @@ class TraceBuilder {
   sim::Time now_ = sim::Time::FromNanos(0);
 };
 
-// Everything that must be identical across engine shapes. `trigger` and
-// `provenance` are deliberately excluded: the coordinator's replayed
-// aggregate alerts describe their evidence differently (no shard-local
-// flight recorder), which is a documented presentation difference.
+// Everything that must be identical across engine shapes.
 using AlertSig =
     std::tuple<int64_t, int, std::string, std::string, std::string,
-               std::string>;
+               std::string, std::string>;
 
 AlertSig SigOf(const Alert& alert) {
   return {alert.when.nanos(), static_cast<int>(alert.kind),
-          alert.classification, alert.group, alert.machine, alert.detail};
+          alert.classification, alert.group, alert.machine, alert.detail,
+          alert.trigger};
 }
 
 std::vector<AlertSig> SortedSigs(const std::vector<Alert>& alerts) {
@@ -594,7 +592,6 @@ TEST(ShardedEquivalence, BatchingKnobsNeverChangeAlerts) {
   lazy.shards = 4;
   lazy.batch_max = 64;
   lazy.agg_hold = sim::Duration::Seconds(3600);
-  lazy.agg_escalation_fraction = 0.5;  // escalate extra-early, ship eagerly
   EXPECT_EQ(baseline, SortedSigs(RunShardedCfg(trace, lazy)));
 }
 
@@ -672,17 +669,17 @@ TEST(ShardedBackpressure, TinyRingsStallButLoseNothing) {
 // ---------------------------------------------------- aggregate hooks
 
 TEST(AggregateHook, DrdosKeyIsVictimIpFromPacket) {
-  // The DRDoS replay key must be the packet's destination IP itself (the
-  // same key GetOrCreateDrdosGroup uses), not an event arg that could be
-  // absent — an empty-key fallback would collapse all victims into one
-  // shared window counter.
+  // The DRDoS event must name the packet's destination IP itself — as the
+  // dotted key the shard sketches use and as the address bits the window
+  // group is keyed by — not an event arg that could be absent: an
+  // empty-key fallback would collapse all victims into one shared window
+  // counter.
   sim::Scheduler scheduler;
   Vids vids(scheduler);
-  std::vector<std::string> keys;
-  vids.set_aggregate_hook([&](Vids::AggregateKind kind, std::string_view key,
-                              const ClassifiedPacket&) {
-    if (kind == Vids::AggregateKind::kUnsolicitedResponse) {
-      keys.emplace_back(key);
+  std::vector<Vids::AggregateEvent> events;
+  vids.set_aggregate_hook([&](const Vids::AggregateEvent& event) {
+    if (event.kind == Vids::AggregateKind::kUnsolicitedResponse) {
+      events.push_back(event);
     }
   });
   const net::Endpoint victim{net::IpAddress(10, 9, 1, 77), 5060};
@@ -691,8 +688,51 @@ TEST(AggregateHook, DrdosKeyIsVictimIpFromPacket) {
   auto response = MakeResponse(probe, 200, std::nullopt);
   response.SetCallId("refl-key@trace");
   vids.Inspect(SipDgram(response, kProxyB, victim), false);
-  ASSERT_EQ(keys.size(), 1u);
-  EXPECT_EQ(keys[0], "10.9.1.77");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].key, "10.9.1.77");
+  EXPECT_EQ(events[0].aux, uint64_t{victim.ip.bits()});
+}
+
+// ------------------------------------------------- coordinator behavior
+
+TEST(ShardedBehavior, FlushReclaimsRegisterOnlyProfiles) {
+  // REGISTER finals feed behavior profiles but create no window-counter
+  // group, so the coordinator Vids's fact base stays empty and its sweep
+  // chain never arms. Flush must still reclaim the profiles once they have
+  // idled past the behavior horizon.
+  ShardedConfig config;
+  config.shards = 2;
+  ShardedIds engine(config);
+  const net::Endpoint client{net::IpAddress(10, 9, 2, 5), 5060};
+  sim::Time t = sim::Time::FromNanos(0) + sim::Duration::Seconds(1);
+  for (int k = 0; k < 4; ++k) {
+    const std::string account = "acct-" + std::to_string(k);
+    auto reg = sip::Message::MakeRequest(
+        sip::Method::kRegister, *sip::SipUri::Parse("sip:b.example.com"));
+    sip::Via via;
+    via.sent_by = client;
+    via.branch = "z9hG4bKreg-" + account;
+    reg.PushVia(via);
+    sip::NameAddr aor;
+    aor.uri = *sip::SipUri::Parse("sip:" + account + "@b.example.com");
+    reg.SetTo(aor);
+    aor.SetTag("tag-" + account);
+    reg.SetFrom(aor);
+    reg.SetCallId("reg-" + account + "@trace");
+    reg.SetCseq(sip::CSeq{1, sip::Method::kRegister});
+    engine.Ingest(SipDgram(reg, client, kProxyB), true, t);
+    t = t + sim::Duration::Millis(10);
+    engine.Ingest(
+        SipDgram(MakeResponse(reg, 401, std::nullopt), kProxyB, client),
+        false, t);
+    t = t + sim::Duration::Seconds(1);
+  }
+  engine.Flush(t);
+  EXPECT_EQ(engine.behavior().profile_count(), 4u);
+  engine.Flush(t + DetectionConfig{}.behavior.IdleHorizon() +
+               sim::Duration::Seconds(5));
+  EXPECT_EQ(engine.behavior().profile_count(), 0u);
+  engine.Stop();
 }
 
 // ----------------------------------------------------------- shutdown
