@@ -448,6 +448,100 @@ void BM_VidsInspectRtpInSession(benchmark::State& state) {
 }
 BENCHMARK(BM_VidsInspectRtpInSession);
 
+void BM_VidsInspectRtpPaced(benchmark::State& state) {
+  // BM_VidsInspectRtpInSession with a moving clock: the scheduler advances
+  // 1.2 s per packet, so the RTP-flood window timer T1 expires and re-arms
+  // on every packet and a fact-base sweep tick runs in between — the
+  // time-driven work a frozen clock never reaches. RTP does not refresh a
+  // call's idle clock, so the call idle timeout is raised past the run.
+  ids::DetectionConfig detection;
+  detection.call_idle_timeout = sim::Duration::Seconds(1'000'000'000);
+  sim::Scheduler scheduler;
+  ids::Vids vids(scheduler, detection);
+  net::Datagram invite;
+  invite.src = kProxyA;
+  invite.dst = kProxyB;
+  invite.kind = net::PayloadKind::kSip;
+  invite.payload = TypicalInvite("paced-bench").Serialize();
+  vids.Inspect(invite, true);
+
+  // Early media toward the offer, in the offered encoding: a clean stream,
+  // so no alert fires once the dedup window lapses between packets.
+  rtp::RtpHeader header;
+  header.ssrc = 7;
+  header.payload_type = 18;
+  net::Datagram dgram;
+  dgram.src = net::Endpoint{net::IpAddress(10, 2, 0, 10), 30000};
+  dgram.dst = net::Endpoint{net::IpAddress(10, 1, 0, 10), 20000};
+  dgram.kind = net::PayloadKind::kRtp;
+  dgram.payload = header.Serialize();
+  uint16_t seq = 0;
+  uint32_t ts = 0;
+  const sim::Duration pace = sim::Duration::Millis(1200);
+  const auto next_packet = [&] {
+    scheduler.RunUntil(scheduler.Now() + pace);
+    ++seq;
+    ts += 160;
+    dgram.payload[2] = static_cast<char>(seq >> 8);
+    dgram.payload[3] = static_cast<char>(seq & 0xFF);
+    dgram.payload[4] = static_cast<char>(ts >> 24);
+    dgram.payload[5] = static_cast<char>((ts >> 16) & 0xFF);
+    dgram.payload[6] = static_cast<char>((ts >> 8) & 0xFF);
+    dgram.payload[7] = static_cast<char>(ts & 0xFF);
+    return vids.Inspect(dgram, true);
+  };
+  // Warmup past keyed_idle_timeout and the behavior IdleHorizon(): the
+  // INVITE-flood group and the caller profile are reclaimed before timing.
+  const sim::Time warm_until = scheduler.Now() +
+                               detection.behavior.IdleHorizon() +
+                               detection.keyed_idle_timeout;
+  while (scheduler.Now() < warm_until) next_packet();
+
+  const uint64_t alerts = vids.alerts().size();
+
+  {
+    AllocCounter allocs(state);
+    for (auto _ : state) benchmark::DoNotOptimize(next_packet());
+  }
+  state.counters["alerts"] =
+      static_cast<double>(vids.alerts().size() - alerts);
+}
+BENCHMARK(BM_VidsInspectRtpPaced);
+
+void BM_FactBaseSweep(benchmark::State& state) {
+  // One sweep tick — the periodic event plus its listener (dedup prune,
+  // behavior sweep) — over N live calls with negotiated media and their
+  // media-endpoint groups, none of them due. The time per tick must stay
+  // flat in N: a sweep visits due state only.
+  const int calls = static_cast<int>(state.range(0));
+  ids::DetectionConfig detection;
+  detection.call_idle_timeout = sim::Duration::Seconds(1'000'000'000);
+  detection.keyed_idle_timeout = sim::Duration::Seconds(1'000'000'000);
+  sim::Scheduler scheduler;
+  ids::Vids vids(scheduler, detection);
+  ids::CallStateFactBase& fact_base = vids.fact_base();
+  for (int i = 0; i < calls; ++i) {
+    const std::string call_id = "sweep-bench-" + std::to_string(i);
+    bool created = false;
+    fact_base.GetOrCreateCall(call_id, created);
+    const net::Endpoint media{
+        net::IpAddress(10, 3, static_cast<uint8_t>(i >> 8),
+                       static_cast<uint8_t>(i & 0xFF)),
+        20000};
+    fact_base.IndexMedia(media, call_id);
+    fact_base.GetOrCreateMediaGroup(media);
+  }
+  const sim::Duration tick = detection.sweep_interval;
+  scheduler.RunUntil(scheduler.Now() + tick);  // first tick outside timing
+
+  {
+    AllocCounter allocs(state);
+    for (auto _ : state) scheduler.RunUntil(scheduler.Now() + tick);
+  }
+  state.counters["live_calls"] = static_cast<double>(fact_base.call_count());
+}
+BENCHMARK(BM_FactBaseSweep)->Arg(1000)->Arg(8000);
+
 void RunShardedIngestBench(benchmark::State& state, ids::ShardedConfig config,
                            bool count_allocs = false) {
   // End-to-end pipeline throughput of the sharded engine: router + SPSC

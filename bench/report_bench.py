@@ -10,6 +10,8 @@ Usage: report_bench.py <BENCH_micro.json> <run-label> <gbench-output.json>
 BENCH_micro.json keeps one entry per label in "runs" (re-running a label
 replaces it) so before/after numbers for a change live side by side. The
 last run also gets a "speedup_vs" table against the first (baseline) run.
+A run made with --benchmark_repetitions=N records each row's median
+repetition with its min/max spread (cpu_ns_min/cpu_ns_max).
 
 --metrics attaches an instrumented-run metric snapshot (the JSON written by
 micro_core with VIDS_METRICS_OUT set) to the run entry.
@@ -314,24 +316,38 @@ def main() -> int:
 
     with open(run_path) as f:
         run = json.load(f)
-    results = {}
+    # With --benchmark_repetitions=N every row appears N times under one
+    # name: the entry records the median repetition (by cpu_time) plus the
+    # min/max spread, and the largest allocs_per_iter of any repetition so
+    # the zero-allocation screen sees the worst one.
+    repetitions = {}
     for bench in run.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
+        repetitions.setdefault(bench["name"], []).append(bench)
+    results = {}
+    for name, reps in repetitions.items():
+        reps.sort(key=lambda b: b["cpu_time"])
+        bench = reps[len(reps) // 2]
         entry = {
             "cpu_ns": round(bench["cpu_time"], 1),
             "real_ns": round(bench["real_time"], 1),
             "iterations": bench["iterations"],
         }
+        if len(reps) > 1:
+            entry["repetitions"] = len(reps)
+            entry["cpu_ns_min"] = round(reps[0]["cpu_time"], 1)
+            entry["cpu_ns_max"] = round(reps[-1]["cpu_time"], 1)
         if "allocs_per_iter" in bench:
-            entry["allocs_per_iter"] = round(bench["allocs_per_iter"], 3)
+            entry["allocs_per_iter"] = round(
+                max(b.get("allocs_per_iter", 0.0) for b in reps), 3)
         # Scaling-row context: throughput plus the shard/host counters the
         # --scaling screen interprets.
         for key in ("items_per_second", "shards", "producers", "cores",
                     "ingest_stalls"):
             if key in bench:
                 entry[key] = round(bench[key], 3)
-        results[bench["name"]] = entry
+        results[name] = entry
 
     try:
         with open(tracked_path) as f:

@@ -12,7 +12,7 @@ set -euo pipefail
 LABEL="${1:-dev}"
 BUILD_DIR="${2:-build-bench}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-FILTER='BM_EfsmTransition|BM_ClassifySip|BM_ClassifyRtp|BM_VidsInspectRtpInSession|BM_VidsInspectSip'
+FILTER='BM_EfsmTransition|BM_ClassifySip|BM_ClassifyRtp|BM_VidsInspectRtpInSession|BM_VidsInspectRtpPaced|BM_VidsInspectSip|BM_FactBaseSweep'
 RAW_JSON="$(mktemp /tmp/micro_core.XXXXXX.json)"
 trap 'rm -f "$RAW_JSON"' EXIT
 
@@ -20,9 +20,12 @@ cmake -S "$ROOT" -B "$ROOT/$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$ROOT/$BUILD_DIR" --target micro_core -j >/dev/null
 
 # NOTE: this benchmark version takes min_time as a bare double (seconds).
+# Three repetitions: report_bench.py records each row's median and spread,
+# since single runs on a shared host vary by up to 2x.
 "$ROOT/$BUILD_DIR/bench/micro_core" \
   --benchmark_filter="$FILTER" \
   --benchmark_min_time=0.5 \
+  --benchmark_repetitions=3 \
   --benchmark_format=json >"$RAW_JSON"
 
 # BM_VidsInspectSip admits a fresh call per packet and is expected to

@@ -1,5 +1,6 @@
 #include "efsm/engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -23,12 +24,10 @@ EngineMetrics EngineMetrics::Registered(obs::MetricsRegistry& registry) {
 void Context::Emit(std::string_view channel, Event event) {
   instance_.EmitFrom(channel, std::move(event));
 }
-void Context::StartTimer(std::string_view name, sim::Duration after) {
+void Context::StartTimer(ArgKey name, sim::Duration after) {
   instance_.StartTimer(name, after);
 }
-void Context::CancelTimer(std::string_view name) {
-  instance_.CancelTimer(name);
-}
+void Context::CancelTimer(ArgKey name) { instance_.CancelTimer(name); }
 sim::Time Context::Now() const { return instance_.Now(); }
 
 // ----------------------------------------------------- MachineInstance
@@ -41,6 +40,8 @@ MachineInstance::MachineInstance(const MachineDef& def, std::string name,
     throw std::invalid_argument(def.name() + ": no initial state defined");
   }
 }
+
+MachineInstance::~MachineInstance() { CancelTimers(); }
 
 MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
   if (retired_) return DeliverResult::kRetired;
@@ -137,7 +138,7 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
   if (def_.Kind(state_) == StateKind::kFinal) {
     retired_ = true;
     metrics.retired->Inc();
-    for (auto& [timer_name, timer] : timers_) timer->Cancel();
+    CancelTimers();
     if (group_.observer() != nullptr) group_.observer()->OnRetired(*this);
   }
   return DeliverResult::kTransitioned;
@@ -147,35 +148,39 @@ void MachineInstance::ResetForReuse() {
   state_ = def_.initial_state();
   retired_ = false;
   local_.Clear();
-  timers_.clear();  // Timer destructors cancel any pending expiry
+  CancelTimers();
 }
 
 size_t MachineInstance::MemoryBytes() const {
   return sizeof(*this) + name_.capacity() + local_.MemoryBytes() +
-         timers_.size() * (sizeof(sim::Timer) + 4 * sizeof(void*));
+         timers_.capacity() * sizeof(TimerSlot);
 }
 
 void MachineInstance::EmitFrom(std::string_view channel, Event event) {
   group_.Enqueue(*this, channel, std::move(event));
 }
 
-void MachineInstance::StartTimer(std::string_view name, sim::Duration after) {
-  auto it = timers_.find(name);
+void MachineInstance::StartTimer(ArgKey name, sim::Duration after) {
+  auto it = std::find_if(timers_.begin(), timers_.end(),
+                         [name](const TimerSlot& t) { return t.name == name; });
   if (it == timers_.end()) {
-    it = timers_
-             .emplace(std::string(name),
-                      std::make_unique<sim::Timer>(group_.scheduler()))
-             .first;
+    timers_.push_back(TimerSlot{name, {}});
+    it = timers_.end() - 1;
   }
-  const std::string timer_name(name);
-  it->second->Start(after, [this, timer_name] {
-    group_.OnTimerFired(*this, timer_name);
-  });
+  sim::Scheduler& scheduler = group_.scheduler();
+  scheduler.Cancel(it->pending);  // a restart drops the running expiry
+  it->pending = scheduler.ScheduleAfter(
+      after, [this, name] { group_.OnTimerFired(*this, name); });
 }
 
-void MachineInstance::CancelTimer(std::string_view name) {
-  const auto it = timers_.find(name);
-  if (it != timers_.end()) it->second->Cancel();
+void MachineInstance::CancelTimer(ArgKey name) {
+  for (TimerSlot& timer : timers_) {
+    if (timer.name == name) group_.scheduler().Cancel(timer.pending);
+  }
+}
+
+void MachineInstance::CancelTimers() {
+  for (TimerSlot& timer : timers_) group_.scheduler().Cancel(timer.pending);
 }
 
 sim::Time MachineInstance::Now() const { return group_.scheduler().Now(); }
@@ -282,10 +287,9 @@ void MachineGroup::PumpSyncQueues() {
   pumping_ = false;
 }
 
-void MachineGroup::OnTimerFired(MachineInstance& machine,
-                                const std::string& timer_name) {
+void MachineGroup::OnTimerFired(MachineInstance& machine, ArgKey timer_name) {
   Event event;
-  event.name = TimerEventName(timer_name);
+  event.name = TimerEventName(timer_name.name());
   DeliverData(machine, event);
 }
 

@@ -79,6 +79,10 @@ class MachineInstance {
     kRetired,        // machine already reached a final state
   };
 
+  ~MachineInstance();
+  MachineInstance(const MachineInstance&) = delete;
+  MachineInstance& operator=(const MachineInstance&) = delete;
+
   DeliverResult Deliver(const Event& event);
 
   const MachineDef& def() const { return def_; }
@@ -109,9 +113,20 @@ class MachineInstance {
 
   // Context's action-side hooks.
   void EmitFrom(std::string_view channel, Event event);
-  void StartTimer(std::string_view name, sim::Duration after);
-  void CancelTimer(std::string_view name);
+  void StartTimer(ArgKey name, sim::Duration after);
+  void CancelTimer(ArgKey name);
+  /// Cancels every pending timer; the slots stay for the next start.
+  void CancelTimers();
   sim::Time Now() const;
+
+  // One slot per timer name this machine has started (a definition uses
+  // one or two), so lookup is a short integer scan. The expiry callback
+  // captures only (this, name): it fits std::function's inline buffer, so
+  // re-arming a timer allocates nothing.
+  struct TimerSlot {
+    ArgKey name;
+    sim::Scheduler::EventId pending;
+  };
 
   const MachineDef& def_;
   std::string name_;
@@ -120,7 +135,7 @@ class MachineInstance {
   bool retired_ = false;
   uint8_t index_in_group_ = obs::Record::kNoMachine;  // ring-record identity
   VariableStore local_;
-  std::map<std::string, std::unique_ptr<sim::Timer>, std::less<>> timers_;
+  std::vector<TimerSlot> timers_;
 };
 
 class MachineGroup {
@@ -158,7 +173,14 @@ class MachineGroup {
   /// queues to quiescence (sync has priority over the next data event).
   void DeliverData(MachineInstance& machine, const Event& event);
 
+  /// Name scan over the machines — for tests and tools. The packet path
+  /// addresses machines by their fixed position instead (machine()).
   MachineInstance* Find(std::string_view instance_name);
+  /// The machine at `index` in AddMachine order.
+  MachineInstance& machine(size_t index) { return *machines_[index]; }
+  const MachineInstance& machine(size_t index) const {
+    return *machines_[index];
+  }
 
   const std::string& name() const { return name_; }
   sim::Scheduler& scheduler() { return scheduler_; }
@@ -197,7 +219,7 @@ class MachineGroup {
   void Enqueue(const MachineInstance& from, std::string_view channel,
                Event event);
   void PumpSyncQueues();
-  void OnTimerFired(MachineInstance& machine, const std::string& timer_name);
+  void OnTimerFired(MachineInstance& machine, ArgKey timer_name);
 
   struct Channel {
     MachineInstance* dst = nullptr;

@@ -95,9 +95,14 @@ class Context {
   // --- Action-side effects (routed through the owning instance) ---
   /// c!event: enqueue `event` on the named output channel.
   void Emit(std::string_view channel, Event event);
-  /// Starts (or restarts) a named timer on this machine.
-  void StartTimer(std::string_view name, sim::Duration after);
-  void CancelTimer(std::string_view name);
+  /// Starts (or restarts) a named timer on this machine. Hot-path actions
+  /// pass a pre-interned key; the string_view overloads intern per call.
+  void StartTimer(ArgKey name, sim::Duration after);
+  void StartTimer(std::string_view name, sim::Duration after) {
+    StartTimer(ArgKey::Intern(name), after);
+  }
+  void CancelTimer(ArgKey name);
+  void CancelTimer(std::string_view name) { CancelTimer(ArgKey::Intern(name)); }
   /// Current simulated time, for predicates that reason about rates.
   sim::Time Now() const;
 

@@ -30,7 +30,8 @@ void Scheduler::ReleaseSlot(uint32_t slot) {
 Scheduler::EventId Scheduler::ScheduleAt(Time t, Callback cb) {
   if (t < now_) throw std::invalid_argument("ScheduleAt: time in the past");
   const EventId id = AcquireSlot();
-  queue_.push(Entry{t, next_seq_++, id.slot_, std::move(cb)});
+  slots_[id.slot_].cb = std::move(cb);
+  queue_.push(Entry{t, next_seq_++, id.slot_});
   scheduled_counter_->Inc();
   depth_gauge_->Set(static_cast<int64_t>(PendingEvents()));
   return id;
@@ -47,8 +48,9 @@ bool Scheduler::Cancel(EventId& id) {
     return false;
   }
   // The queue entry stays behind as a tombstone and frees the slot when it
-  // reaches the top; only the active flag flips here.
+  // reaches the top; the callback (and whatever it captured) goes now.
   slots_[id.slot_].active = false;
+  slots_[id.slot_].cb = nullptr;
   ++cancelled_count_;
   id = EventId();
   return true;
@@ -76,17 +78,18 @@ Time Scheduler::NextEventTime() {
 bool Scheduler::Step() {
   NextEventTime();  // the top, if any, is now a live event
   if (queue_.empty()) return false;
-  // priority_queue::top() is const to protect the heap invariant, but the
-  // entry is leaving the queue anyway — move it out instead of copying the
-  // std::function.
-  Entry entry = std::move(const_cast<Entry&>(queue_.top()));
+  const Entry entry = queue_.top();
   queue_.pop();
   now_ = entry.time;
+  // Move the callback out before running it: it may schedule, and a new
+  // slot can reallocate the slot table under it.
+  Callback cb = std::move(slots_[entry.slot].cb);
+  slots_[entry.slot].cb = nullptr;
   ReleaseSlot(entry.slot);  // fired: stale handles must not cancel it
   ++executed_;
   executed_counter_->Inc();
   depth_gauge_->Set(static_cast<int64_t>(PendingEvents()));
-  entry.cb();
+  cb();
   return true;
 }
 

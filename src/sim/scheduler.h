@@ -8,7 +8,9 @@
 // Cancellation handles are (slot, generation) pairs into a recycled slot
 // vector — no per-event shared_ptr allocation. A slot's generation bumps
 // when its event fires or its slot is recycled, so stale handles are
-// detected by a single integer compare.
+// detected by a single integer compare. The slot also holds the event's
+// callback, so the heap orders 24-byte {time, seq, slot} keys and never
+// moves a std::function; Cancel releases the callback at once.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +91,6 @@ class Scheduler {
     Time time;
     uint64_t seq;
     uint32_t slot;
-    Callback cb;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -98,6 +99,7 @@ class Scheduler {
     }
   };
   struct Slot {
+    Callback cb;  // empty unless the slot's event is pending
     uint32_t gen = 0;
     bool active = false;
   };

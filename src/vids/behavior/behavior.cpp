@@ -49,15 +49,20 @@ void BehaviorEngine::Profile::Reset() {
 BehaviorEngine::BehaviorEngine(const BehaviorConfig& config)
     : config_(config) {}
 
-BehaviorEngine::Profile* BehaviorEngine::Find(ProfileMap& map,
-                                              std::string_view key) {
-  const auto it = map.find(key);
-  return it == map.end() ? nullptr : it->second.get();
+BehaviorEngine::Profile* BehaviorEngine::Find(ProfileTable& table,
+                                              std::string_view key,
+                                              int64_t t) {
+  const auto it = table.map.find(key);
+  if (it == table.map.end()) return nullptr;
+  it->second->last_event_ns = t;
+  table.ages.Touch(*it);
+  return it->second.get();
 }
 
-BehaviorEngine::Profile& BehaviorEngine::GetOrCreate(ProfileMap& map,
-                                                     std::string_view key) {
-  if (Profile* existing = Find(map, key)) return *existing;
+BehaviorEngine::Profile& BehaviorEngine::GetOrCreate(ProfileTable& table,
+                                                     std::string_view key,
+                                                     int64_t t) {
+  if (Profile* existing = Find(table, key, t)) return *existing;
   std::unique_ptr<Profile> profile;
   if (!pool_.empty()) {
     profile = std::move(pool_.back());
@@ -65,7 +70,11 @@ BehaviorEngine::Profile& BehaviorEngine::GetOrCreate(ProfileMap& map,
   } else {
     profile = std::make_unique<Profile>();
   }
-  return *map.emplace(std::string(key), std::move(profile)).first->second;
+  profile->last_event_ns = t;
+  ProfileNode& node =
+      *table.map.emplace(std::string(key), std::move(profile)).first;
+  table.ages.Insert(node);
+  return *node.second;
 }
 
 void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
@@ -74,8 +83,7 @@ void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
                                  uint64_t call_hash) {
   if (!config_.enabled || caller.empty()) return;
   const int64_t t = now.nanos();
-  Profile& p = GetOrCreate(callers_, caller);
-  p.last_event_ns = t;
+  Profile& p = GetOrCreate(callers_, caller, t);
   p.call_rate.Touch(t, config_.call_rate_window.nanos());
   if (!dest.empty()) p.fanout.Touch(HashKey(dest), t);
   if (!user_agent.empty()) p.user_agents.Touch(HashKey(user_agent), t);
@@ -107,9 +115,8 @@ void BehaviorEngine::OnCallEnd(sim::Time now, std::string_view caller,
                                uint64_t call_hash) {
   if (!config_.enabled || caller.empty()) return;
   const int64_t t = now.nanos();
-  Profile* p = Find(callers_, caller);
+  Profile* p = Find(callers_, caller, t);
   if (p == nullptr) return;  // callee-sent BYE or long-idle caller
-  p->last_event_ns = t;
   const int64_t ttl = config_.open_call_ttl.nanos();
   for (OpenCall& slot : p->open_calls) {
     if (slot.start_ns == INT64_MIN || slot.hash != call_hash) continue;
@@ -130,8 +137,7 @@ void BehaviorEngine::OnRegFailure(sim::Time now, std::string_view target,
                                   uint64_t source_hash) {
   if (!config_.enabled || target.empty()) return;
   const int64_t t = now.nanos();
-  Profile& p = GetOrCreate(targets_, target);
-  p.last_event_ns = t;
+  Profile& p = GetOrCreate(targets_, target, t);
   p.reg_failures.Touch(t, config_.reg_failure_window.nanos());
   p.reg_sources.Touch(source_hash, t);
   ScoreTarget(p, target, t);
@@ -141,9 +147,8 @@ void BehaviorEngine::OnRegSuccess(sim::Time now, std::string_view target) {
   if (!config_.enabled || target.empty()) return;
   // A successful registration breaks the cracking streak. Only an existing
   // profile matters — success with no failure history builds no state.
-  Profile* p = Find(targets_, target);
+  Profile* p = Find(targets_, target, now.nanos());
   if (p == nullptr) return;
-  p->last_event_ns = now.nanos();
   p->reg_failures.Reset();
   p->reg_sources.Reset();
 }
@@ -236,29 +241,41 @@ void BehaviorEngine::Emit(Profile& p, std::string_view group_prefix,
 void BehaviorEngine::Sweep(sim::Time now) {
   const int64_t horizon = config_.IdleHorizon().nanos();
   const int64_t t = now.nanos();
-  const auto reclaim = [&](ProfileMap& map) {
-    for (auto it = map.begin(); it != map.end();) {
-      Profile& p = *it->second;
-      if (p.last_event_ns != INT64_MIN && t - p.last_event_ns <= horizon) {
-        ++it;
-        continue;
-      }
+  const auto reclaim = [&](ProfileTable& table) {
+    while (ProfileNode* oldest = table.ages.oldest()) {
+      Profile& p = *oldest->second;
+      if (t - p.last_event_ns <= horizon) break;
       retired_durations_.MergeFrom(p.durations);
+      table.ages.Unlink(*oldest);
+      const auto it = table.map.find(oldest->first);
       if (pool_.size() < config_.profile_pool_cap) {
         p.Reset();
         pool_.push_back(std::move(it->second));
       }
-      it = map.erase(it);
+      table.map.erase(it);
     }
   };
   reclaim(callers_);
   reclaim(targets_);
 }
 
+std::vector<std::string> BehaviorEngine::DueSurvivors(sim::Time now) const {
+  const int64_t horizon = config_.IdleHorizon().nanos();
+  std::vector<std::string> due;
+  for (const ProfileTable* table : {&callers_, &targets_}) {
+    for (const auto& [key, profile] : table->map) {
+      if (now.nanos() - profile->last_event_ns > horizon) {
+        due.push_back("idle behavior profile " + key);
+      }
+    }
+  }
+  return due;
+}
+
 size_t BehaviorEngine::MemoryBytes() const {
   size_t bytes = sizeof(*this);
-  const auto count = [&](const ProfileMap& map) {
-    for (const auto& [key, profile] : map) {
+  const auto count = [&](const ProfileTable& table) {
+    for (const auto& [key, profile] : table.map) {
       bytes += key.capacity() + sizeof(Profile);
     }
   };
@@ -270,7 +287,7 @@ size_t BehaviorEngine::MemoryBytes() const {
 
 void BehaviorEngine::MergeDurationHistogram(obs::Histogram& into) const {
   into.MergeFrom(retired_durations_);
-  for (const auto& [key, profile] : callers_) {
+  for (const auto& [key, profile] : callers_.map) {
     into.MergeFrom(profile->durations);
   }
 }

@@ -42,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/age_list.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "sim/time.h"
@@ -151,10 +152,18 @@ class BehaviorEngine {
   /// Reclaims profiles idle past IdleHorizon() into the recycle pool.
   /// Memory-only by the determinism contract — callers may invoke this on
   /// any cadence (fact-base sweep listener, coordinator prune) without
-  /// affecting emissions.
+  /// affecting emissions. Profiles are kept oldest-first by last event, so
+  /// a sweep visits only the profiles it reclaims plus one.
   void Sweep(sim::Time now);
 
-  size_t profile_count() const { return callers_.size() + targets_.size(); }
+  /// Exhaustive O(live) audit: one line per profile a sweep at `now`
+  /// should have reclaimed but is still held. Empty right after every
+  /// sweep; tests run it as the oracle of the due-only sweep.
+  std::vector<std::string> DueSurvivors(sim::Time now) const;
+
+  size_t profile_count() const {
+    return callers_.map.size() + targets_.map.size();
+  }
   size_t pool_size() const { return pool_.size(); }
   uint64_t alerts_emitted() const { return alerts_emitted_; }
   uint64_t cooldown_suppressed() const { return cooldown_suppressed_; }
@@ -244,8 +253,11 @@ class BehaviorEngine {
     int64_t start_ns = INT64_MIN;  // INT64_MIN = empty slot
   };
 
+  struct Profile;
+  using ProfileNode = std::pair<const std::string, std::unique_ptr<Profile>>;
   struct Profile {
     int64_t last_event_ns = INT64_MIN;
+    common::AgeLinks<ProfileNode> age;  // cleared by AgeList::Unlink
     int64_t last_alert_ns = INT64_MIN;
     // Caller features.
     WindowCounter call_rate;
@@ -261,15 +273,26 @@ class BehaviorEngine {
     void Reset();
   };
 
-  template <typename T>
-  using StringKeyed =
-      std::unordered_map<std::string, T, common::StringHash, std::equal_to<>>;
-  using ProfileMap = StringKeyed<std::unique_ptr<Profile>>;
+  using ProfileMap = std::unordered_map<std::string, std::unique_ptr<Profile>,
+                                        common::StringHash, std::equal_to<>>;
+  struct ByLastEvent {
+    static auto& Links(ProfileNode& node) { return node.second->age; }
+    static int64_t Stamp(const ProfileNode& node) {
+      return node.second->last_event_ns;
+    }
+  };
+  /// One profile family: the map and its oldest-first order.
+  struct ProfileTable {
+    ProfileMap map;
+    common::AgeList<ProfileNode, ByLastEvent> ages;
+  };
 
-  /// Existing profile or nullptr — the allocation-free steady-state probe.
-  Profile* Find(ProfileMap& map, std::string_view key);
-  /// Existing or pool-recycled/new profile (creation path).
-  Profile& GetOrCreate(ProfileMap& map, std::string_view key);
+  /// Existing profile, stamped with event time `t`, or nullptr — the
+  /// allocation-free steady-state probe.
+  Profile* Find(ProfileTable& table, std::string_view key, int64_t t);
+  /// Existing or pool-recycled/new profile, stamped with `t` (creation
+  /// path).
+  Profile& GetOrCreate(ProfileTable& table, std::string_view key, int64_t t);
 
   void ScoreCaller(Profile& profile, std::string_view caller, int64_t t);
   void ScoreTarget(Profile& profile, std::string_view target, int64_t t);
@@ -279,8 +302,8 @@ class BehaviorEngine {
 
   BehaviorConfig config_;
   AlertSink sink_;
-  ProfileMap callers_;  // key = caller AOR (From user@host)
-  ProfileMap targets_;  // key = registration target AOR (To user@host)
+  ProfileTable callers_;  // key = caller AOR (From user@host)
+  ProfileTable targets_;  // key = registration target AOR (To user@host)
   std::vector<std::unique_ptr<Profile>> pool_;
   obs::Histogram retired_durations_;  // folded in from reclaimed profiles
   uint64_t alerts_emitted_ = 0;

@@ -1,6 +1,7 @@
 #include "vids/fact_base.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "vids/classifier.h"
 
@@ -19,6 +20,19 @@ uint64_t MediaKey(const net::Endpoint& endpoint) {
 
 uint64_t DrdosKey(net::IpAddress victim) {
   return kDrdosTag | victim.bits();
+}
+
+// Adds `def` to `group` and checks it lands at the position the packet
+// path addresses it by (call_machine / media_machine constants).
+efsm::MachineInstance& AddAt(efsm::MachineGroup& group, size_t index,
+                             const efsm::MachineDef& def,
+                             std::string_view name) {
+  efsm::MachineInstance& machine = group.AddMachine(def, std::string(name));
+  if (group.machines().size() != index + 1) {
+    throw std::logic_error("fact base: machine '" + std::string(name) +
+                           "' is not at its layout position");
+  }
+  return machine;
 }
 
 }  // namespace
@@ -82,6 +96,7 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
   if (it != calls_.end()) {
     created = false;
     it->second.last_event = scheduler_.Now();
+    call_age_.Touch(*it);
     return *it->second.group;
   }
   created = true;
@@ -99,11 +114,11 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
     group = std::make_unique<efsm::MachineGroup>(call_id, scheduler_,
                                                  observer_,
                                                  &engine_metrics_);
-    auto& sip = group->AddMachine(sip_spec_, std::string(kSipMachineName));
-    auto& rtp = group->AddMachine(rtp_spec_, std::string(kRtpMachineName));
-    (void)sip;
-    group->AddMachine(scenarios_.cancel_dos, "cancel-dos");
-    group->AddMachine(scenarios_.hijack, "hijack");
+    AddAt(*group, call_machine::kSip, sip_spec_, kSipMachineName);
+    auto& rtp = AddAt(*group, call_machine::kRtp, rtp_spec_, kRtpMachineName);
+    AddAt(*group, call_machine::kCancelDos, scenarios_.cancel_dos,
+          "cancel-dos");
+    AddAt(*group, call_machine::kHijack, scenarios_.hijack, "hijack");
     if (config_.enable_cross_protocol) {
       group->RouteChannel(std::string(kSipToRtpChannel), rtp);
     }
@@ -115,12 +130,13 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
     rec.aux = FactAux::kCallCreated;
     group->flight_recorder().Record(rec);
   }
-  auto& entry = calls_[call_id];
-  entry.group = std::move(group);
-  entry.last_event = scheduler_.Now();
+  CallNode& node = *calls_.try_emplace(call_id).first;
+  node.second.group = std::move(group);
+  node.second.last_event = scheduler_.Now();
+  call_age_.Insert(node);
   m_active_calls_->Set(static_cast<int64_t>(calls_.size()));
   ArmSweepTimer();
-  return *entry.group;
+  return *node.second.group;
 }
 
 efsm::MachineGroup* CallStateFactBase::FindCall(std::string_view call_id) {
@@ -148,88 +164,87 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateKeyed(
   // Unparseable media/victim keys.
   const std::string name =
       (kind == KeyedKind::kMediaEndpoint ? "media|" : "drdos|") + key;
-  auto it = keyed_str_.find(name);
-  if (it != keyed_str_.end()) {
-    it->second.last_event = scheduler_.Now();
-    return *it->second.group;
+  auto [it, inserted] = keyed_str_.try_emplace(name);
+  if (auto* group = TouchKeyed<KeyedStrMap>(*it, keyed_str_age_, inserted)) {
+    return *group;
   }
   auto group = std::make_unique<efsm::MachineGroup>(name, scheduler_,
                                                     observer_,
                                                     &engine_metrics_);
-  switch (kind) {
-    case KeyedKind::kInviteFlood:
-      break;  // handled above
-    case KeyedKind::kMediaEndpoint:
-      group->AddMachine(scenarios_.media_spam, "media-spam");
-      group->AddMachine(scenarios_.rtp_flood, "rtp-flood");
-      group->AddMachine(scenarios_.rtcp_bye, "rtcp-bye");
-      break;
-    case KeyedKind::kDrdos:
-      group->AddMachine(scenarios_.drdos, "drdos");
-      break;
+  if (kind == KeyedKind::kMediaEndpoint) {
+    BuildMediaGroup(*group);
+  } else {
+    AddAt(*group, kWindowMachine, scenarios_.drdos, "drdos");
   }
-  auto& entry = keyed_str_[name];
-  entry.group = std::move(group);
-  entry.last_event = scheduler_.Now();
+  it->second.group = std::move(group);
+  return *it->second.group;
+}
+
+template <typename Map>
+efsm::MachineGroup* CallStateFactBase::TouchKeyed(
+    typename Map::value_type& node, AgeOf<Map>& ages, bool inserted) {
+  node.second.last_event = scheduler_.Now();
+  if (!inserted) {
+    ages.Touch(node);
+    return node.second.group.get();
+  }
+  // New entry: the caller builds its group right after this returns.
+  ages.Insert(node);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
-  return *entry.group;
+  return nullptr;
+}
+
+void CallStateFactBase::BuildMediaGroup(efsm::MachineGroup& group) {
+  AddAt(group, media_machine::kMediaSpam, scenarios_.media_spam,
+        "media-spam");
+  AddAt(group, media_machine::kRtpFlood, scenarios_.rtp_flood, "rtp-flood");
+  AddAt(group, media_machine::kRtcpBye, scenarios_.rtcp_bye, "rtcp-bye");
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateInviteFlood(
     std::string_view aor) {
   // Runs per INVITE request: compose the map key in the reused scratch
-  // string and find transparently so the hit path never allocates.
+  // string, so the hit path never allocates.
   flood_key_scratch_.assign("flood|");
   flood_key_scratch_.append(aor);
-  auto it = keyed_str_.find(flood_key_scratch_);
-  if (it != keyed_str_.end()) {
-    it->second.last_event = scheduler_.Now();
-    return *it->second.group;
+  auto [it, inserted] = keyed_str_.try_emplace(flood_key_scratch_);
+  if (auto* group = TouchKeyed<KeyedStrMap>(*it, keyed_str_age_, inserted)) {
+    return *group;
   }
   auto group = std::make_unique<efsm::MachineGroup>(
       flood_key_scratch_, scheduler_, observer_, &engine_metrics_);
-  group->AddMachine(scenarios_.invite_flood, "invite-flood");
-  auto& entry = keyed_str_[flood_key_scratch_];
-  entry.group = std::move(group);
-  entry.last_event = scheduler_.Now();
-  m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
-  ArmSweepTimer();
-  return *entry.group;
+  AddAt(*group, kWindowMachine, scenarios_.invite_flood, "invite-flood");
+  it->second.group = std::move(group);
+  return *it->second.group;
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateMediaGroup(
     const net::Endpoint& endpoint) {
   auto [it, inserted] = keyed_bin_.try_emplace(MediaKey(endpoint));
-  Entry& entry = it->second;
-  entry.last_event = scheduler_.Now();
-  if (!inserted) return *entry.group;
+  if (auto* group = TouchKeyed<KeyedBinMap>(*it, keyed_bin_age_, inserted)) {
+    return *group;
+  }
   auto group = std::make_unique<efsm::MachineGroup>(
       "media|" + endpoint.ToString(), scheduler_, observer_,
       &engine_metrics_);
-  group->AddMachine(scenarios_.media_spam, "media-spam");
-  group->AddMachine(scenarios_.rtp_flood, "rtp-flood");
-  group->AddMachine(scenarios_.rtcp_bye, "rtcp-bye");
-  entry.group = std::move(group);
-  m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
-  ArmSweepTimer();
-  return *entry.group;
+  BuildMediaGroup(*group);
+  it->second.group = std::move(group);
+  return *it->second.group;
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateDrdosGroup(
     net::IpAddress victim) {
   auto [it, inserted] = keyed_bin_.try_emplace(DrdosKey(victim));
-  Entry& entry = it->second;
-  entry.last_event = scheduler_.Now();
-  if (!inserted) return *entry.group;
+  if (auto* group = TouchKeyed<KeyedBinMap>(*it, keyed_bin_age_, inserted)) {
+    return *group;
+  }
   auto group = std::make_unique<efsm::MachineGroup>(
       "drdos|" + victim.ToString(), scheduler_, observer_,
       &engine_metrics_);
-  group->AddMachine(scenarios_.drdos, "drdos");
-  entry.group = std::move(group);
-  m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
-  ArmSweepTimer();
-  return *entry.group;
+  AddAt(*group, kWindowMachine, scenarios_.drdos, "drdos");
+  it->second.group = std::move(group);
+  return *it->second.group;
 }
 
 bool CallStateFactBase::IsTombstoned(std::string_view call_id) const {
@@ -306,6 +321,7 @@ void CallStateFactBase::DropMediaKeyedGroup(const net::Endpoint& endpoint) {
     const std::vector<std::string> reclaimed{it->second.group->name()};
     sweep_listener_(scheduler_.Now(), reclaimed);
   }
+  keyed_bin_age_.Unlink(*it);
   keyed_bin_.erase(it);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
 }
@@ -324,18 +340,20 @@ efsm::MachineGroup* CallStateFactBase::FindGroupByMedia(
   return it->second.group;
 }
 
-bool CallStateFactBase::CallComplete(const efsm::MachineGroup& group) const {
-  const auto& machines = group.machines();
-  for (const auto& machine : machines) {
-    if (machine->name() == kSipMachineName && !machine->retired()) {
-      return false;
-    }
-    if (machine->name() == kRtpMachineName && !machine->retired() &&
-        machine->state() != machine->def().initial_state()) {
-      return false;
-    }
+bool CallStateFactBase::CallComplete(const efsm::MachineGroup& group) {
+  const efsm::MachineInstance& rtp = group.machine(call_machine::kRtp);
+  return group.machine(call_machine::kSip).retired() &&
+         (rtp.retired() || rtp.state() == rtp.def().initial_state());
+}
+
+void CallStateFactBase::NoteRetired(const efsm::MachineGroup& group) {
+  const auto it = calls_.find(group.name());
+  if (it == calls_.end() || it->second.group.get() != &group ||
+      it->second.retire_candidate) {
+    return;
   }
-  return true;
+  it->second.retire_candidate = true;
+  retire_candidates_.push_back(&*it);
 }
 
 sim::Time CallStateFactBase::NextSweepInstant(sim::Time now) const {
@@ -363,74 +381,121 @@ void CallStateFactBase::Sweep(sim::Time now) {
   // (the analysis engine evicts their alert-dedup signatures).
   std::vector<std::string> reclaimed;
 
-  for (auto it = calls_.begin(); it != calls_.end();) {
-    const bool complete = CallComplete(*it->second.group);
-    const bool idle =
-        now - it->second.last_event > config_.call_idle_timeout;
-    if (complete || idle) {
-      tombstones_[it->first] = now + config_.tombstone_ttl;
-      ++calls_deleted_;
-      m_calls_deleted_->Inc();
-      // Drop this call's media-endpoint index entries via the reverse
-      // index. The ownership check keeps endpoints that were re-negotiated
-      // to another call in the meantime.
-      for (const uint64_t key : it->second.media_keys) {
-        const auto media_it = media_index_.find(key);
-        if (media_it != media_index_.end() &&
-            media_it->second.call_id == it->first) {
-          media_index_.erase(media_it);
-        }
-      }
-      reclaimed.push_back(it->first);
-      if (group_pool_.size() < kGroupPoolCap) {
-        // Park the group in initial configuration. The reset happens here,
-        // not at reuse, because a parked group must not keep live timers —
-        // a pending expiry would fire into a machine no call owns.
-        it->second.group->ResetForReuse(std::string());
-        group_pool_.push_back(std::move(it->second.group));
-      }
-      it = calls_.erase(it);
-    } else {
-      ++it;
+  // Completion: only a retirement can complete a call, so only the calls
+  // that saw one since the last sweep are checked. Nothing is erased
+  // between NoteRetired and here except by this loop, so every listed node
+  // is live.
+  for (CallNode* node : retire_candidates_) {
+    node->second.retire_candidate = false;
+    if (CallComplete(*node->second.group)) {
+      ReclaimCall(*node, now, reclaimed);
     }
   }
-  for (auto it = keyed_str_.begin(); it != keyed_str_.end();) {
-    if (now - it->second.last_event > config_.keyed_idle_timeout) {
-      reclaimed.push_back(it->first);
-      it = keyed_str_.erase(it);
-    } else {
-      ++it;
-    }
+  retire_candidates_.clear();
+  // Idleness: the age lists are oldest-first, so pop until the front is
+  // fresh.
+  while (CallNode* oldest = call_age_.oldest()) {
+    if (now - oldest->second.last_event <= config_.call_idle_timeout) break;
+    ReclaimCall(*oldest, now, reclaimed);
   }
-  for (auto it = keyed_bin_.begin(); it != keyed_bin_.end();) {
-    if (now - it->second.last_event > config_.keyed_idle_timeout) {
-      reclaimed.push_back(it->second.group->name());
-      it = keyed_bin_.erase(it);
-    } else {
-      ++it;
-    }
+  ReclaimIdleKeyed(keyed_str_, keyed_str_age_, now, reclaimed);
+  ReclaimIdleKeyed(keyed_bin_, keyed_bin_age_, now, reclaimed);
+  while (TombstoneNode* oldest = tombstone_age_.oldest()) {
+    if (oldest->second.expiry > now) break;
+    tombstone_age_.Unlink(*oldest);
+    tombstones_.erase(tombstones_.find(oldest->first));
   }
-  std::erase_if(tombstones_,
-                [now](const auto& kv) { return kv.second <= now; });
   if (sweep_listener_) sweep_listener_(now, reclaimed);
   m_sweep_ns_->Record(obs::MonotonicNanos() - sweep_start);
   UpdateGauges();
 }
 
-size_t CallStateFactBase::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
+void CallStateFactBase::ReclaimCall(CallNode& node, sim::Time now,
+                                    std::vector<std::string>& reclaimed) {
+  const std::string& call_id = node.first;
+  CallEntry& entry = node.second;
+  auto [tomb, inserted] = tombstones_.try_emplace(call_id);
+  tomb->second.expiry = now + config_.tombstone_ttl;
+  if (inserted) {
+    tombstone_age_.Insert(*tomb);
+  } else {
+    tombstone_age_.Touch(*tomb);
+  }
+  ++calls_deleted_;
+  m_calls_deleted_->Inc();
+  // Drop this call's media-endpoint index entries via the reverse index.
+  // The ownership check keeps endpoints that were re-negotiated to another
+  // call in the meantime.
+  for (const uint64_t key : entry.media_keys) {
+    const auto media_it = media_index_.find(key);
+    if (media_it != media_index_.end() && media_it->second.call_id == call_id) {
+      media_index_.erase(media_it);
+    }
+  }
+  reclaimed.push_back(call_id);
+  if (group_pool_.size() < kGroupPoolCap) {
+    // Park the group in initial configuration. The reset happens here, not
+    // at reuse, because a parked group must not keep live timers — a
+    // pending expiry would fire into a machine no call owns.
+    entry.group->ResetForReuse(std::string());
+    group_pool_.push_back(std::move(entry.group));
+  }
+  call_age_.Unlink(node);
+  calls_.erase(calls_.find(call_id));
+}
+
+template <typename Map>
+void CallStateFactBase::ReclaimIdleKeyed(
+    Map& map, AgeOf<Map>& ages, sim::Time now,
+    std::vector<std::string>& reclaimed) {
+  while (auto* oldest = ages.oldest()) {
+    if (now - oldest->second.last_event <= config_.keyed_idle_timeout) break;
+    reclaimed.push_back(oldest->second.group->name());
+    ages.Unlink(*oldest);
+    map.erase(map.find(oldest->first));
+  }
+}
+
+std::vector<std::string> CallStateFactBase::DueSurvivors(
+    sim::Time now) const {
+  std::vector<std::string> due;
   for (const auto& [call_id, entry] : calls_) {
-    bytes += call_id.capacity() + sizeof(Entry) + entry.group->MemoryBytes() +
+    if (CallComplete(*entry.group)) due.push_back("complete call " + call_id);
+    if (now - entry.last_event > config_.call_idle_timeout) {
+      due.push_back("idle call " + call_id);
+    }
+  }
+  const auto keyed = [&](const auto& map) {
+    for (const auto& [key, entry] : map) {
+      if (now - entry.last_event > config_.keyed_idle_timeout) {
+        due.push_back("idle keyed group " + entry.group->name());
+      }
+    }
+  };
+  keyed(keyed_str_);
+  keyed(keyed_bin_);
+  for (const auto& [call_id, tombstone] : tombstones_) {
+    if (tombstone.expiry <= now) due.push_back("expired tombstone " + call_id);
+  }
+  return due;
+}
+
+size_t CallStateFactBase::MemoryBytes() const {
+  size_t bytes = sizeof(*this) +
+                 retire_candidates_.capacity() * sizeof(CallNode*);
+  for (const auto& [call_id, entry] : calls_) {
+    bytes += call_id.capacity() + sizeof(CallEntry) +
+             entry.group->MemoryBytes() +
              entry.media_keys.capacity() * sizeof(uint64_t);
   }
   for (const auto& [key, entry] : keyed_str_) {
-    bytes += key.capacity() + sizeof(Entry) + entry.group->MemoryBytes();
+    bytes += key.capacity() + sizeof(entry) + entry.group->MemoryBytes();
   }
   for (const auto& [key, entry] : keyed_bin_) {
-    bytes += sizeof(uint64_t) + sizeof(Entry) + entry.group->MemoryBytes();
+    bytes += sizeof(key) + sizeof(entry) + entry.group->MemoryBytes();
   }
-  for (const auto& [key, expiry] : tombstones_) {
-    bytes += key.capacity() + sizeof(sim::Time);
+  for (const auto& [key, tombstone] : tombstones_) {
+    bytes += key.capacity() + sizeof(tombstone);
   }
   for (const auto& [key, media] : media_index_) {
     bytes += sizeof(uint64_t) + sizeof(MediaEntry) + media.call_id.capacity();

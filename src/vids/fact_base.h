@@ -18,6 +18,12 @@
 // string-keyed maps are unordered with transparent string_view lookup, and
 // every call entry carries its media keys so Sweep() erases exactly the
 // deleted call's index entries instead of scanning the whole index.
+//
+// A sweep visits only state that is due (DESIGN.md §9). Calls, keyed groups
+// and tombstones are threaded oldest-first (common::AgeList), so idle
+// reclaim pops from the front and stops at the first live entry; a call
+// can only become complete when one of its machines retires, so only the
+// calls reported through NoteRetired since the last sweep are re-checked.
 #pragma once
 
 #include <functional>
@@ -28,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/age_list.h"
 #include "common/strings.h"
 #include "efsm/engine.h"
 #include "net/address.h"
@@ -49,6 +56,23 @@ struct FactAux {
   static constexpr uint64_t kMediaRetracted = uint64_t{3} << 56;
   static constexpr uint64_t kTagMask = uint64_t{0xFF} << 56;
 };
+
+/// Machine positions inside the groups the fact base builds; the builders
+/// check them, so the packet path addresses a machine by index
+/// (MachineGroup::machine) instead of scanning names.
+namespace call_machine {  // one group per call
+inline constexpr size_t kSip = 0;
+inline constexpr size_t kRtp = 1;
+inline constexpr size_t kCancelDos = 2;
+inline constexpr size_t kHijack = 3;
+}  // namespace call_machine
+namespace media_machine {  // one group per media endpoint
+inline constexpr size_t kMediaSpam = 0;
+inline constexpr size_t kRtpFlood = 1;
+inline constexpr size_t kRtcpBye = 2;
+}  // namespace media_machine
+/// The sole machine of an INVITE-flood or DRDoS group.
+inline constexpr size_t kWindowMachine = 0;
 
 class CallStateFactBase {
  public:
@@ -108,11 +132,24 @@ class CallStateFactBase {
   /// endpoint is unknown or its call no longer exists.
   efsm::MachineGroup* FindGroupByMedia(const net::Endpoint& endpoint) const;
 
-  /// Reclaims completed calls and idle groups. Cheap when nothing is due;
+  /// Reclaims completed calls and idle groups. Costs O(due + reclaimed):
   /// call it from the packet path. Also fired by the periodic sweep event
   /// (armed on state creation) so reclamation does not depend on the next
   /// packet arriving.
   void Sweep(sim::Time now);
+
+  /// A machine of `group` retired. The observer of this fact base's groups
+  /// must forward efsm::Observer::OnRetired here (Vids does): a call can
+  /// only become complete through a retirement, so the next sweep re-checks
+  /// exactly the calls reported since the last one. Keyed groups and
+  /// unknown groups are ignored.
+  void NoteRetired(const efsm::MachineGroup& group);
+
+  /// Exhaustive O(live) audit: one line per state that a sweep at `now`
+  /// should have reclaimed but is still held — a complete call, a call or
+  /// keyed group idle past its timeout, an expired tombstone. Empty right
+  /// after every sweep; tests run it as the oracle of the due-only sweep.
+  std::vector<std::string> DueSurvivors(sim::Time now) const;
 
   /// Called at the end of every executed sweep with the names of the groups
   /// it reclaimed (call ids and keyed-group names; possibly none). The
@@ -146,25 +183,80 @@ class CallStateFactBase {
   const DetectionConfig& config() const { return config_; }
 
  private:
-  struct Entry {
+  // Map entries carry the intrusive links of their map's age list; `Node`
+  // is the map's value_type, so a listed entry also reaches its key.
+  struct CallEntry;
+  using CallNode = std::pair<const std::string, CallEntry>;
+  struct CallEntry {
     std::unique_ptr<efsm::MachineGroup> group;
     sim::Time last_event;
+    common::AgeLinks<CallNode> age;
     // Reverse index: packed media-endpoint keys negotiated by this call, so
     // deletion cleans media_index_ without a full scan.
     std::vector<uint64_t> media_keys;
+    bool retire_candidate = false;  // listed in retire_candidates_
+  };
+  template <typename Key>
+  struct KeyedEntry {
+    std::unique_ptr<efsm::MachineGroup> group;
+    sim::Time last_event;
+    common::AgeLinks<std::pair<const Key, KeyedEntry>> age;
+  };
+  struct Tombstone;
+  using TombstoneNode = std::pair<const std::string, Tombstone>;
+  struct Tombstone {
+    sim::Time expiry;
+    common::AgeLinks<TombstoneNode> age;
   };
   struct MediaEntry {
     std::string call_id;
     efsm::MachineGroup* group = nullptr;  // owned by calls_[call_id]
   };
 
+  /// Age-list accessors: entries age by last_event, tombstones by expiry.
+  template <typename Node>
+  struct ByLastEvent {
+    static auto& Links(Node& node) { return node.second.age; }
+    static sim::Time Stamp(const Node& node) { return node.second.last_event; }
+  };
+  struct ByExpiry {
+    static auto& Links(TombstoneNode& node) { return node.second.age; }
+    static sim::Time Stamp(const TombstoneNode& node) {
+      return node.second.expiry;
+    }
+  };
+
   template <typename T>
   using StringKeyed =
       std::unordered_map<std::string, T, common::StringHash, std::equal_to<>>;
+  using KeyedStrMap = StringKeyed<KeyedEntry<std::string>>;
+  using KeyedBinMap = std::unordered_map<uint64_t, KeyedEntry<uint64_t>>;
+  template <typename Map>
+  using AgeOf = common::AgeList<typename Map::value_type,
+                                ByLastEvent<typename Map::value_type>>;
 
   /// A call is over when its SIP machine retired and its RTP machine either
   /// retired or never left INIT (non-call transactions like REGISTER).
-  bool CallComplete(const efsm::MachineGroup& group) const;
+  static bool CallComplete(const efsm::MachineGroup& group);
+
+  /// Deletes one call: tombstone, media-index cleanup, group parked in the
+  /// pool (or destroyed), age-list unlink, erase. Appends its name to
+  /// `reclaimed`.
+  void ReclaimCall(CallNode& node, sim::Time now,
+                   std::vector<std::string>& reclaimed);
+  /// Pops every keyed group idle past keyed_idle_timeout off `map`'s age
+  /// list, appending their names to `reclaimed`.
+  template <typename Map>
+  void ReclaimIdleKeyed(Map& map, AgeOf<Map>& ages, sim::Time now,
+                        std::vector<std::string>& reclaimed);
+  /// Adds the media-endpoint pattern machines in media_machine order.
+  void BuildMediaGroup(efsm::MachineGroup& group);
+  /// Stamps a keyed entry with Now() and re-sorts it; a newly inserted one
+  /// is linked and counted, and nullptr tells the caller to build its group.
+  /// Returns the existing group otherwise.
+  template <typename Map>
+  efsm::MachineGroup* TouchKeyed(typename Map::value_type& node,
+                                 AgeOf<Map>& ages, bool inserted);
 
   void UpdateGauges();
 
@@ -216,13 +308,22 @@ class CallStateFactBase {
   static constexpr size_t kGroupPoolCap = 256;
   std::vector<std::unique_ptr<efsm::MachineGroup>> group_pool_;
 
-  StringKeyed<Entry> calls_;
-  StringKeyed<Entry> keyed_str_;  // INVITE flood, name-prefixed "flood|"
+  StringKeyed<CallEntry> calls_;
+  KeyedStrMap keyed_str_;  // INVITE flood, name-prefixed "flood|"
   std::string flood_key_scratch_;  // reused by GetOrCreateInviteFlood
   // Media-endpoint and DRDoS groups, keyed by kind-tagged packed binary key.
-  std::unordered_map<uint64_t, Entry> keyed_bin_;
-  StringKeyed<sim::Time> tombstones_;
+  KeyedBinMap keyed_bin_;
+  StringKeyed<Tombstone> tombstones_;
   std::unordered_map<uint64_t, MediaEntry> media_index_;
+  // Oldest-first orders of the maps above. Every stamp is the scheduler's
+  // monotone Now() (tombstones: Now() + the fixed TTL), so a touch or an
+  // insert lands at the newest end.
+  AgeOf<StringKeyed<CallEntry>> call_age_;
+  AgeOf<KeyedStrMap> keyed_str_age_;
+  AgeOf<KeyedBinMap> keyed_bin_age_;
+  common::AgeList<TombstoneNode, ByExpiry> tombstone_age_;
+  // Calls with a machine retired since the last sweep (NoteRetired).
+  std::vector<CallNode*> retire_candidates_;
   sim::Time next_sweep_;
   sim::Scheduler::EventId sweep_event_;
   SweepListener sweep_listener_;

@@ -60,6 +60,7 @@ Vids::Vids(sim::Scheduler& scheduler, DetectionConfig detection,
         behavior_.Sweep(now);
         m_behavior_profiles_->Set(
             static_cast<int64_t>(behavior_.profile_count()));
+        if (sweep_hook_) sweep_hook_(now);
       });
   // Behavioral alerts ride the normal alert path. The engine's own
   // cooldown (>= the dedup window by contract) means RaiseAlert's dedup
@@ -122,9 +123,8 @@ void Vids::HandleRtcp(const ClassifiedPacket& packet) {
   const net::Endpoint media_endpoint{
       packet.dst.ip, static_cast<uint16_t>(packet.dst.port - 1)};
   auto& media_group = fact_base_.GetOrCreateMediaGroup(media_endpoint);
-  if (auto* machine = media_group.Find("rtcp-bye")) {
-    media_group.DeliverData(*machine, packet.event);
-  }
+  media_group.DeliverData(media_group.machine(media_machine::kRtcpBye),
+                          packet.event);
 }
 
 void Vids::HandleSip(const ClassifiedPacket& packet) {
@@ -162,12 +162,9 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
 
   // Distribute to the call's machines: specification first (it exports the
   // media parameters), then the per-call attack patterns.
-  for (const auto name :
-       {kSipMachineName, std::string_view("cancel-dos"),
-        std::string_view("hijack")}) {
-    if (auto* machine = group.Find(name)) {
-      group.DeliverData(*machine, packet.event);
-    }
+  for (const size_t index : {call_machine::kSip, call_machine::kCancelDos,
+                             call_machine::kHijack}) {
+    group.DeliverData(group.machine(index), packet.event);
   }
 
   // INVITE requests additionally drive the per-destination flood counter.
@@ -283,26 +280,22 @@ void Vids::FeedAggregate(const AggregateEvent& event) {
     }
   };
   const auto count = [&](efsm::MachineGroup& group,
-                         std::string_view machine_name,
                          std::string_view event_name) {
     // The window counter's input: the counted event plus the addresses its
     // attack alert reports.
     window_event_.name.assign(event_name);
     set_ip(window_event_.args.Slot(0, argkey::kSrcIp), event.src_ip);
     set_ip(window_event_.args.Slot(1, argkey::kDstIp), event.dst_ip);
-    if (auto* machine = group.Find(machine_name)) {
-      group.DeliverData(*machine, window_event_);
-    }
+    group.DeliverData(group.machine(kWindowMachine), window_event_);
   };
   switch (event.kind) {
     case AggregateKind::kUnsolicitedResponse:
       count(fact_base_.GetOrCreateDrdosGroup(
                 net::IpAddress(static_cast<uint32_t>(event.aux))),
-            "drdos", kUnsolicitedEvent);
+            kUnsolicitedEvent);
       return;
     case AggregateKind::kInviteRequest:
-      count(fact_base_.GetOrCreateInviteFlood(event.key), "invite-flood",
-            kSipEvent);
+      count(fact_base_.GetOrCreateInviteFlood(event.key), kSipEvent);
       return;
     case AggregateKind::kBehaviorCallStart:
       behavior_.OnCallStart(event.when, event.key, event.peer, event.ua,
@@ -341,21 +334,17 @@ void Vids::HandleRtp(const ClassifiedPacket& packet) {
   // call's RTP specification machine. The media index resolves the packed
   // binary endpoint straight to the owning group — no string keys.
   if (auto* group = fact_base_.FindGroupByMedia(packet.dst)) {
-    if (auto* machine = group->Find(kRtpMachineName)) {
-      group->DeliverData(*machine, packet.event);
-    }
+    group->DeliverData(group->machine(call_machine::kRtp), packet.event);
   } else {
     m_orphan_rtp_->Inc();
   }
 
   // Per-endpoint patterns see every media packet, monitored call or not.
   auto& media_group = fact_base_.GetOrCreateMediaGroup(packet.dst);
-  for (const auto name :
-       {std::string_view("media-spam"), std::string_view("rtp-flood"),
-        std::string_view("rtcp-bye")}) {
-    if (auto* machine = media_group.Find(name)) {
-      media_group.DeliverData(*machine, packet.event);
-    }
+  for (const size_t index :
+       {media_machine::kMediaSpam, media_machine::kRtpFlood,
+        media_machine::kRtcpBye}) {
+    media_group.DeliverData(media_group.machine(index), packet.event);
   }
 }
 
@@ -480,6 +469,10 @@ void Vids::OnDeviation(const efsm::MachineInstance& machine,
                   std::string(machine.StateName());
   AttachProvenance(alert, machine);
   RaiseAlert(std::move(alert));
+}
+
+void Vids::OnRetired(const efsm::MachineInstance& machine) {
+  fact_base_.NoteRetired(machine.group());
 }
 
 void Vids::OnNondeterminism(const efsm::MachineInstance& machine,

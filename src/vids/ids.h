@@ -206,6 +206,17 @@ class Vids : public efsm::Observer {
   void OnDeviation(const efsm::MachineInstance&, const efsm::Event&) override;
   void OnNondeterminism(const efsm::MachineInstance&, const efsm::Event&,
                         size_t enabled_count) override;
+  /// Reports the machine's group to the fact base as a completion
+  /// candidate for the next sweep.
+  void OnRetired(const efsm::MachineInstance&) override;
+
+  /// Called at the end of every executed fact-base sweep, after the dedup
+  /// table and the behavior profiles were pruned at the same instant.
+  /// Tests install the sweep oracle (DueSurvivors) here. Install it before
+  /// the engine sees traffic: a ShardedIds shard runs it on its worker.
+  void set_sweep_hook(std::function<void(sim::Time)> hook) {
+    sweep_hook_ = std::move(hook);
+  }
 
  private:
   void HandleSip(const ClassifiedPacket& packet);
@@ -274,6 +285,7 @@ class Vids : public efsm::Observer {
   std::function<void(const Alert&)> alert_callback_;
   TransitionTrace transition_trace_;
   AggregateHook aggregate_hook_;
+  std::function<void(sim::Time)> sweep_hook_;
   // Reused by EmitAggregate / FeedAggregate, so the steady-state aggregate
   // path allocates nothing.
   AggregateEvent agg_scratch_;

@@ -22,6 +22,10 @@ const ArgKey kVSrcIp = ArgKey::Intern("v_src_ip");
 const ArgKey kVCallerTag = ArgKey::Intern("v_caller_tag");
 const ArgKey kVCalleeTag = ArgKey::Intern("v_callee_tag");
 const ArgKey kPckCounter = ArgKey::Intern("pck_counter");
+// Timer names, interned once so re-arming never hashes a string.
+const ArgKey kTimerT1 = ArgKey::Intern("T1");
+const ArgKey kTimerT = ArgKey::Intern("T");
+const ArgKey kTimerLinger = ArgKey::Intern("linger");
 
 bool IsRequest(const Context& c, std::string_view method) {
   const std::string* kind = c.event().ArgStr(argkey::kKind);
@@ -82,7 +86,7 @@ void BuildWindowCounter(MachineDef& def, const std::string& event_name,
   def.On(init, event_name)
       .Do([window](Context& c) {
         c.mutable_local().Set(kPckCounter, int64_t{1});
-        c.StartTimer("T1", window);
+        c.StartTimer(kTimerT1, window);
       })
       .To(counting, "first packet: counter started, timer T1 armed");
 
@@ -249,7 +253,7 @@ MachineDef BuildRtcpByeMachine(const DetectionConfig& config) {
       .When(is_bye)
       .Do([grace](Context& c) {
         c.mutable_local().Set(kVSsrc, c.event().Arg(argkey::kSsrc));
-        c.StartTimer("T", grace);
+        c.StartTimer(kTimerT, grace);
       })
       .To(drain, "RTCP BYE: stream declared over, timer T started");
   def.On(init, rtcp).To(init, "SR/RR bookkeeping");
@@ -257,7 +261,7 @@ MachineDef BuildRtcpByeMachine(const DetectionConfig& config) {
   def.On(drain, rtp).To(drain, "in-flight RTP within T");
   def.On(drain, rtcp).To(drain);
   def.On(drain, efsm::TimerEventName("T"))
-      .Do([linger](Context& c) { c.StartTimer("linger", linger); })
+      .Do([linger](Context& c) { c.StartTimer(kTimerLinger, linger); })
       .To(watch, "grace over");
 
   def.On(watch, rtp)

@@ -33,6 +33,10 @@ const ArgKey kRevTs = ArgKey::Intern("l_rev_ts");
 const ArgKey kGCallerIp = ArgKey::Intern("g_caller_ip");
 const ArgKey kGCalleeIp = ArgKey::Intern("g_callee_ip");
 
+// Timer names, interned once so re-arming never hashes a string.
+const ArgKey kTimerT = ArgKey::Intern("T");
+const ArgKey kTimerLinger = ArgKey::Intern("linger");
+
 // ---- Predicate helpers over the classifier's event argument vector x̄ ----
 
 bool IsRequest(const Context& c, std::string_view method) {
@@ -370,7 +374,7 @@ MachineDef BuildRtpSpecMachine(const DetectionConfig& config) {
       .Do(NoteStream)
       .To(active, "media flowing");
   def.On(ready, bye)
-      .Do([grace](Context& c) { c.StartTimer("T", grace); })
+      .Do([grace](Context& c) { c.StartTimer(kTimerT, grace); })
       .To(close_wait, "closed before media started");
 
   def.On(active, rtp)
@@ -385,7 +389,7 @@ MachineDef BuildRtpSpecMachine(const DetectionConfig& config) {
       })
       .To(encoding, "media with non-negotiated encoding");
   def.On(active, bye)
-      .Do([grace](Context& c) { c.StartTimer("T", grace); })
+      .Do([grace](Context& c) { c.StartTimer(kTimerT, grace); })
       .To(close_wait, "δ(SIP→RTP): BYE seen; timer T started");
   // Early media: the direct RTP path can beat the proxied 200 OK to the
   // monitoring point, so the answer δ may arrive after media started.
@@ -405,7 +409,7 @@ MachineDef BuildRtpSpecMachine(const DetectionConfig& config) {
       .When([](const Context& c) { return MatchesSession(c); })
       .To(encoding, "encoding still wrong");
   def.On(encoding, bye)
-      .Do([grace](Context& c) { c.StartTimer("T", grace); })
+      .Do([grace](Context& c) { c.StartTimer(kTimerT, grace); })
       .To(close_wait);
   def.On(encoding, answer).Do(store_media("answer")).To(encoding);
   def.On(close_wait, answer).To(close_wait, "late answer during teardown");
@@ -415,7 +419,7 @@ MachineDef BuildRtpSpecMachine(const DetectionConfig& config) {
       .When([](const Context& c) { return MatchesSession(c); })
       .To(close_wait, "in-flight RTP within T");
   def.On(close_wait, efsm::TimerEventName("T"))
-      .Do([linger](Context& c) { c.StartTimer("linger", linger); })
+      .Do([linger](Context& c) { c.StartTimer(kTimerLinger, linger); })
       .To(closing, "T expired: RTP Close");
 
   // ...then any media is an attack, split by who tore the call down.

@@ -5,6 +5,7 @@
 // loop, so gtest internals and the warmup phase are free to allocate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -162,6 +163,78 @@ TEST(ZeroAlloc, SteadyStateRtpInspectionDoesNotAllocate) {
   EXPECT_EQ(g_alloc_count.load(), 0u)
       << "steady-state RTP inspection touched the heap";
   EXPECT_GT(vids.stats().rtp_packets, 0u);
+}
+
+// The same in-session stream with a moving clock. The scheduler advances
+// 1.2 s per packet through RunUntil, so the RTP-flood window timer T1
+// expires and re-arms on every packet and a fact-base sweep tick runs in
+// between. Frozen-clock tests never exercise either; here both must stay
+// off the heap once the warmup has let every idle keyed group (the INVITE
+// flood counter) and behavior profile (the caller) be reclaimed.
+TEST(ZeroAlloc, PacedRtpWithExpiringTimersAndSweepsDoesNotAllocate) {
+  DetectionConfig detection;
+  // RTP does not refresh a call's idle clock, so keep the call alive past
+  // the whole run: the stream must stay in-session, not orphaned.
+  detection.call_idle_timeout = sim::Duration::Seconds(3600);
+  sim::Scheduler scheduler;
+  Vids vids(scheduler, detection);
+
+  const auto invite = MakeInvite("za-paced");
+  vids.Inspect(SipDgram(invite, kProxyA, kProxyB), true);
+  vids.Inspect(SipDgram(MakeOk(invite), kProxyB, kProxyA), false);
+  ASSERT_EQ(vids.fact_base().CallByMedia(kCalleeMedia), "za-paced");
+
+  rtp::RtpHeader header;
+  header.ssrc = 0xBEEF;
+  header.sequence_number = 1;
+  header.timestamp = 160;
+  header.payload_type = 18;
+  net::Datagram dgram;
+  dgram.src = kCallerMedia;
+  dgram.dst = kCalleeMedia;
+  dgram.payload = header.Serialize();
+  dgram.kind = net::PayloadKind::kRtp;
+  uint16_t seq = 1;
+  uint32_t ts = 160;
+  const sim::Duration pace = sim::Duration::Millis(1200);
+  const auto next_packet = [&] {
+    scheduler.RunUntil(scheduler.Now() + pace);
+    ++seq;
+    ts += 160;
+    dgram.payload[2] = static_cast<char>(seq >> 8);
+    dgram.payload[3] = static_cast<char>(seq & 0xFF);
+    dgram.payload[4] = static_cast<char>(ts >> 24);
+    dgram.payload[5] = static_cast<char>((ts >> 16) & 0xFF);
+    dgram.payload[6] = static_cast<char>((ts >> 8) & 0xFF);
+    dgram.payload[7] = static_cast<char>(ts & 0xFF);
+    vids.Inspect(dgram, true);
+  };
+
+  // Warmup past keyed_idle_timeout and the behavior IdleHorizon(), so the
+  // one-time reclaims (flood group, caller profile) happen here.
+  const sim::Duration horizon =
+      std::max(detection.keyed_idle_timeout, detection.behavior.IdleHorizon());
+  const sim::Time warm_until =
+      scheduler.Now() + horizon + sim::Duration::Seconds(10);
+  while (scheduler.Now() < warm_until) next_packet();
+  ASSERT_EQ(vids.fact_base().keyed_count(), 1u);  // the media group only
+  ASSERT_EQ(vids.behavior().profile_count(), 0u);
+  const uint64_t sweeps_before = vids.metrics().GetCounter("vids.sweeps").value();
+  const uint64_t timers_before = scheduler.ExecutedEvents();
+
+  g_alloc_count.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < 100; ++i) next_packet();
+  g_counting.store(false);
+
+  EXPECT_EQ(g_alloc_count.load(), 0u)
+      << "paced RTP inspection touched the heap";
+  // Vacuity guards: sweeps ran, and both T1 and the sweep timer fired
+  // about once per packet.
+  EXPECT_GE(vids.metrics().GetCounter("vids.sweeps").value() - sweeps_before,
+            100u);
+  EXPECT_GE(scheduler.ExecutedEvents() - timers_before, 200u);
+  EXPECT_EQ(vids.fact_base().CallByMedia(kCalleeMedia), "za-paced");
 }
 
 // In-dialog SIP steady state: once a dialog exists, a re-INVITE / 200 / ACK
