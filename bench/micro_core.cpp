@@ -635,7 +635,6 @@ void BM_ShardedIngest(benchmark::State& state) {
   // single-core no-regression baseline.
   ids::ShardedConfig config;
   config.batch_max = 1;
-  config.agg_hold = sim::Duration::Seconds(0);
   // Pin the observability knobs off too: this row is the no-regression
   // baseline, so its ingest path must not read the wall clock at all.
   config.trace_sample_period = 0;
@@ -646,8 +645,8 @@ BENCHMARK(BM_ShardedIngest)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_ShardedIngestBatched(benchmark::State& state) {
   // Default batched configuration: up to batch_max slots per
-  // release/acquire pair on both rings, bounded-latency partial flush, and
-  // the shard-local aggregate staging path (DESIGN.md §12).
+  // release/acquire pair on both rings and the bounded-latency partial
+  // flush (DESIGN.md §12).
   RunShardedIngestBench(state, ids::ShardedConfig{});
 }
 BENCHMARK(BM_ShardedIngestBatched)

@@ -49,10 +49,6 @@ void AssignAlert(Alert& dst, const Alert& src) {
   }
 }
 
-// Hard cap on a shard's held-back aggregate events. A flood that outruns
-// agg_hold aging forces a full ship instead of unbounded staging growth.
-constexpr size_t kMaxStagedAggregates = 1024;
-
 int64_t MinOf(const std::vector<int64_t>& values) {
   int64_t m = INT64_MAX;
   for (const int64_t v : values) m = std::min(m, v);
@@ -109,7 +105,6 @@ ShardedIds::ShardedIds(ShardedConfig config)
       coord_vids_(coord_scheduler_, config_.detection, config_.cost),
       m_agg_events_(&coord_metrics_.GetCounter("sharded.agg_events")),
       m_flushes_(&coord_metrics_.GetCounter("sharded.flushes")),
-      m_escalations_(&coord_metrics_.GetCounter("sharded.agg_escalations")),
       m_watchdog_stalls_(
           &coord_metrics_.GetCounter("sharded.watchdog_stalls")),
       m_watchdog_producer_stalls_(
@@ -143,16 +138,6 @@ ShardedIds::ShardedIds(ShardedConfig config)
   watchdog_poll_ns_ =
       std::max<int64_t>(watchdog_threshold_ns_ / 8, 1'000'000);
   health_.resize(static_cast<size_t>(n));
-  // Escalation share: by pigeonhole, if a key sees more than `threshold`
-  // events inside one window globally, some shard saw at least
-  // ceil((threshold + 1) / shards) of them — so a shard whose local sketch
-  // holds that many events within a window-span knows the key could be in
-  // an over-threshold window and turns it hot.
-  const auto share = [&](int threshold) {
-    return std::max<int64_t>(1, (int64_t{threshold} + n) / n);
-  };
-  esc_invite_share_ = share(config_.detection.invite_flood_threshold);
-  esc_drdos_share_ = share(config_.detection.drdos_threshold);
 
   pending_.resize(static_cast<size_t>(n));
   shards_.reserve(static_cast<size_t>(n));
@@ -186,16 +171,20 @@ ShardedIds::ShardedIds(ShardedConfig config)
       }
       PushUp(*sp, [&](UpMsg& up) {
         up.kind = UpMsg::Kind::kAlert;
-        up.when_ns = alert.when.nanos();
         AssignAlert(up.alert, alert);
       });
     });
     // Always hook the aggregate feeds — even with one shard — so the
     // aggregate detectors take the identical (replayed) code path for every
-    // shard count. Equivalence across N is then true by construction.
+    // shard count. Equivalence across N is then true by construction. The
+    // event rides the open up-batch; the worker's end-of-batch commit
+    // publishes it together with the batch's alerts.
     shard->vids->set_aggregate_hook(
         [this, sp](const Vids::AggregateEvent& event) {
-          StageAggregate(*sp, event);
+          PushUp(*sp, [&](UpMsg& up) {
+            up.kind = UpMsg::Kind::kAgg;
+            up.agg = event;  // assignment reuses the slot's string capacities
+          });
         });
     shards_.push_back(std::move(shard));
   }
@@ -263,108 +252,6 @@ void ShardedIds::RecordSpan(Shard& shard, int64_t t0, int64_t t_dequeue) {
   rec.from = static_cast<int16_t>(micros(t_done - t_dequeue, 32767));
   rec.to = static_cast<int16_t>(shard.index);
   shard.spans.Record(rec);
-}
-
-void ShardedIds::StageAggregate(Shard& shard,
-                                const Vids::AggregateEvent& event) {
-  AggLocal& a = shard.agg;
-  const int64_t t = event.when.nanos();
-
-  // Stage the event. Retired slots keep their string capacities; compact
-  // by rotating the live tail to the front (swaps, no copies) so the
-  // vector's size is bounded by the peak number of simultaneously-held
-  // events.
-  if (a.end == a.buf.size() && a.begin > 0) {
-    std::rotate(a.buf.begin(),
-                a.buf.begin() + static_cast<ptrdiff_t>(a.begin),
-                a.buf.end());
-    a.end -= a.begin;
-    a.begin = 0;
-  }
-  if (a.end == a.buf.size()) a.buf.emplace_back();
-  a.buf[a.end++] = event;  // assignment reuses the slot's string capacities
-  ++a.events_buffered;
-  if (a.live() > kMaxStagedAggregates) {
-    ShipAggPrefix(shard, t);  // ships everything: `t` is the newest time
-  }
-
-  // Behavior events never escalate: the escalation sketches exist to cut
-  // the ship latency of keys that might cross a flood/DRDoS threshold, and
-  // hotness only affects ship latency, never which events ship — profile
-  // scoring happens solely on the coordinator after the ordered replay.
-  const Vids::AggregateKind kind = event.kind;
-  if (kind != Vids::AggregateKind::kUnsolicitedResponse &&
-      kind != Vids::AggregateKind::kInviteRequest) {
-    return;
-  }
-
-  // Sliding sketch: record the key's last `share` event times; when all of
-  // them (including this one) fall inside one window-span, escalate.
-  const bool invite = kind == Vids::AggregateKind::kInviteRequest;
-  auto& sketches = invite ? a.invite_sketch : a.drdos_sketch;
-  const size_t share =
-      static_cast<size_t>(invite ? esc_invite_share_ : esc_drdos_share_);
-  const int64_t window_ns = (invite ? config_.detection.invite_flood_window
-                                    : config_.detection.drdos_window)
-                                .nanos();
-  auto it = sketches.find(event.key);
-  if (it == sketches.end()) {
-    it = sketches.emplace(event.key, AggSketch{}).first;
-  }
-  AggSketch& s = it->second;
-  s.last_event_ns = t;
-  if (s.hot) return;
-  if (s.recent.size() != share) s.recent.assign(share, INT64_MIN);
-  s.recent[s.next] = t;
-  s.next = (s.next + 1) % share;
-  // After the insert, recent[next] is the oldest of the stored `share`
-  // times; all of them within (t - window, t] means the local count alone
-  // could be part of a globally over-threshold window.
-  const int64_t oldest = s.recent[s.next];
-  if (oldest == INT64_MIN || oldest <= t - window_ns) return;
-  s.hot = true;
-  ++a.hot_keys;
-  PushUp(shard, [&](UpMsg& up) {
-    up.kind = UpMsg::Kind::kAggHot;
-    up.when_ns = t;
-    up.agg.kind = kind;
-    up.agg.key.assign(event.key);
-  });
-}
-
-void ShardedIds::ShipAggPrefix(Shard& shard, int64_t horizon) {
-  AggLocal& a = shard.agg;
-  while (a.begin < a.end && a.buf[a.begin].when.nanos() <= horizon) {
-    const Vids::AggregateEvent& e = a.buf[a.begin];
-    PushUp(shard, [&](UpMsg& up) {
-      up.kind = UpMsg::Kind::kAgg;
-      up.when_ns = e.when.nanos();
-      up.agg = e;  // assignment reuses the slot's string capacities
-    });
-    ++a.begin;
-    ++a.events_shipped;
-  }
-  if (a.begin == a.end) {
-    a.begin = 0;
-    a.end = 0;
-  }
-}
-
-void ShardedIds::PruneAggSketches(Shard& shard, int64_t now_ns) {
-  // A sketch idle past the keyed horizon can restart cold (hot keys cool
-  // down — hotness only affects ship latency, never which events ship, so
-  // cooling is always safe).
-  const int64_t idle_ns = config_.detection.keyed_idle_timeout.nanos();
-  const auto prune = [&](StringKeyed<AggSketch>& sketches) {
-    std::erase_if(sketches, [&](const auto& kv) {
-      const AggSketch& s = kv.second;
-      if (now_ns - s.last_event_ns <= idle_ns) return false;
-      if (s.hot) --shard.agg.hot_keys;
-      return true;
-    });
-  };
-  prune(shard.agg.invite_sketch);
-  prune(shard.agg.drdos_sketch);
 }
 
 bool ShardedIds::LanesQuiescent(Shard& shard, int64_t barrier_ns) {
@@ -440,7 +327,6 @@ void ShardedIds::WorkerLoop(Shard& shard) {
   net::Datagram scratch;
   common::SpinBackoff backoff;
   const size_t batch_max = config_.batch_max;
-  const int64_t hold_ns = config_.agg_hold.nanos();
   // Heartbeats only exist for the watchdog; the disabled configuration
   // (BM_ShardedIngest's pinned hot path) never reads the wall clock here.
   const bool heartbeat = watchdog_threshold_ns_ > 0;
@@ -453,29 +339,8 @@ void ShardedIds::WorkerLoop(Shard& shard) {
     bool progress = false;
     int stall_lane = -1;
 
-    // ---- control lane: barriers, hot-key broadcasts, test wedges ----
+    // ---- control lane: barriers, test wedges ----
     while (ShardMsg* ctl = shard.down.Front()) {
-      if (ctl->kind == ShardMsg::Kind::kAggHot) {
-        // Some shard escalated this key: bypass the hold locally too, so
-        // this shard's frontier keeps pace and the coordinator's merged
-        // replay of the hot key is not gated on our cold buffer.
-        const bool invite = ctl->agg == Vids::AggregateKind::kInviteRequest;
-        auto& sketches =
-            invite ? shard.agg.invite_sketch : shard.agg.drdos_sketch;
-        auto it = sketches.find(ctl->key);
-        if (it == sketches.end()) {
-          it = sketches.emplace(ctl->key, AggSketch{}).first;
-        }
-        AggSketch& s = it->second;
-        if (!s.hot) {
-          s.hot = true;
-          ++shard.agg.hot_keys;
-        }
-        s.last_event_ns = std::max(s.last_event_ns, ctl->when_ns);
-        shard.down.Pop();
-        progress = true;
-        continue;
-      }
       if (ctl->kind == ShardMsg::Kind::kWedge) {
         // Deliberate stall (tests): sleep before retiring the message. The
         // control lane stays non-empty and the heartbeat store below is
@@ -497,13 +362,8 @@ void ShardedIds::WorkerLoop(Shard& shard) {
       if (!LanesQuiescent(shard, barrier)) break;
       if (ctl->kind == ShardMsg::Kind::kFlush) {
         AdvanceShardClock(shard, sim::Time::FromNanos(ctl->when_ns));
-        // The barrier promises every aggregate event up to `when` is
-        // replayable: ship the whole staging buffer before the ack.
-        ShipAggPrefix(shard, INT64_MAX);
-        PruneAggSketches(shard, ctl->when_ns);
         PushUp(shard, [&](UpMsg& up) {
           up.kind = UpMsg::Kind::kFlushAck;
-          up.when_ns = ctl->when_ns;
           up.token = ctl->token;
         });
         watermark = std::max(watermark, ctl->when_ns);
@@ -511,8 +371,6 @@ void ShardedIds::WorkerLoop(Shard& shard) {
         progress = true;
         continue;
       }
-      // kStop: final ship so Stop()'s terminal replay sees every event.
-      ShipAggPrefix(shard, INT64_MAX);
       stopping = true;
       shard.down.Pop();
       progress = true;
@@ -583,12 +441,6 @@ void ShardedIds::WorkerLoop(Shard& shard) {
     }
 
     if (consumed != 0 || progress) {
-      if (!stopping && shard.agg.live() != 0) {
-        // Cold events age out after agg_hold; while any key is hot the
-        // whole buffer ships every batch so replay tracks the frontier.
-        ShipAggPrefix(shard, shard.agg.hot_keys > 0 ? watermark
-                                                    : watermark - hold_ns);
-      }
       // Worker-owned plain metric fields must be written before the commit
       // below: the coordinator reads `shard.pipeline` after acquiring the
       // flush ack published by this very batch.
@@ -596,16 +448,11 @@ void ShardedIds::WorkerLoop(Shard& shard) {
         shard.batch_consumed->Record(static_cast<int64_t>(consumed));
       }
       // One release store publishes every upstream message of this round
-      // (alerts, aggregate ships, escalations, acks) ...
+      // (alerts, aggregate events, acks) ... then the frontier: the events
+      // it vouches for are already committed, so an acquire read that
+      // observes the new frontier also observes them in the ring
+      // (DESIGN.md §12).
       shard.up.CommitPushN();
-      // ... then the frontiers. agg_complete first: the events it vouches
-      // for are already committed above, so an acquire read that observes
-      // the new frontier also observes them in the ring (DESIGN.md §12).
-      const int64_t agg_complete =
-          shard.agg.live() == 0
-              ? watermark
-              : shard.agg.buf[shard.agg.begin].when.nanos() - 1;
-      shard.agg_complete_ns.store(agg_complete, std::memory_order_release);
       shard.processed_ns.store(watermark, std::memory_order_release);
       // Heartbeat last: it vouches for the whole retired round. A worker
       // that wedges or blocks mid-batch never reaches this store.
@@ -646,11 +493,16 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
   // frontier (processed_ns), which WatchdogCheck uses to re-anchor open
   // episodes. Stretches with nothing due are crossed in one jump, so a
   // fresh worker reaching a capture's epoch timestamps does O(1) work.
+  // processed_ns is also the aggregate replay gate, so each slice first
+  // commits the open up-batch: the aggregate events of the batch's earlier
+  // packets (all at or before Now()) must be in the ring before the
+  // frontier vouches for them. Timers emit no aggregate events.
   constexpr sim::Duration kSlice = sim::Duration::Seconds(60);
   // Events are never scheduled in the past, so `next` >= Now().
   sim::Time next = scheduler.NextEventTime();
   while (next < when && when - next > kSlice) {
     scheduler.RunUntil(next + kSlice);
+    shard.up.CommitPushN();
     shard.processed_ns.store(scheduler.Now().nanos(),
                              std::memory_order_release);
     shard.last_progress_ns.store(obs::MonotonicNanos(),
@@ -843,7 +695,7 @@ void ShardedIds::CommitPortLanes(IngestPort& port, FlushReason reason) {
 
 void ShardedIds::PortDeadlineCheck(IngestPort& port, int64_t when_ns) {
   // Bounded-latency flush: a partial batch is published once it has been
-  // open for batch_flush_us, enforced in both clock domains — source time
+  // open for kBatchFlushMicros, enforced in both clock domains — source time
   // first (an integer compare, no clock read), then wall clock — so a
   // faster-than-real-time replay cannot hold a pre-gap packet unpublished
   // while the stream's own clock races far past it. The batch_max == 1
@@ -859,9 +711,9 @@ void ShardedIds::PortDeadlineCheck(IngestPort& port, int64_t when_ns) {
     port.deadline_src_ns_ = when_ns;
     return;
   }
-  if (when_ns - port.deadline_src_ns_ >= config_.batch_flush_us * 1000 ||
+  if (when_ns - port.deadline_src_ns_ >= kBatchFlushMicros * 1000 ||
       std::chrono::steady_clock::now() - port.deadline_since_ >=
-          std::chrono::microseconds(config_.batch_flush_us)) {
+          std::chrono::microseconds(kBatchFlushMicros)) {
     CommitPortLanes(port, FlushReason::kDeadline);
   }
 }
@@ -945,10 +797,9 @@ void ShardedIds::IngestOn(IngestPort& port, const net::Datagram& dgram,
   PortDeadlineCheck(port, when_ns);
 
   if (port.inline_drain_) {
-    // Coordinator-thread port (single-producer engines): keep the legacy
-    // bookkeeping and the opportunistic upstream drain so alerts surface
-    // and the aggregate replay keeps pace without explicit Pump() calls.
-    last_ingest_ns_ = std::max(last_ingest_ns_, when_ns);
+    // Coordinator-thread port (single-producer engines): keep the
+    // opportunistic upstream drain so alerts surface and the aggregate
+    // replay keeps pace without explicit Pump() calls.
     if ((++ingest_count_ & 31U) == 0) DrainUp();
   }
 }
@@ -1022,7 +873,7 @@ void ShardedIds::CommitAllDown(FlushReason reason) {
 }
 
 int64_t ShardedIds::LatestIngestNs() const {
-  int64_t t = last_ingest_ns_;
+  int64_t t = 0;
   for (const auto& port : ports_) {
     t = std::max(t, port->last_when_pub_.load(std::memory_order_relaxed));
   }
@@ -1123,8 +974,8 @@ void ShardedIds::DrainUp() {
   WatchdogCheck();
   // Snapshot the replay frontier BEFORE draining. A shard commits every
   // aggregate event it vouches for (release through the ring) before it
-  // publishes agg_complete_ns (release), so an acquire load of
-  // agg_complete_ns >= T guarantees those events are already in the ring
+  // publishes processed_ns (release), so an acquire load of
+  // processed_ns >= T guarantees those events are already in the ring
   // and land in pending_ below. Loading the frontier after the drain
   // instead would let an event committed mid-drain sit at-or-before a
   // fresher frontier while missing from pending_ — and a later-timestamped
@@ -1132,7 +983,7 @@ void ShardedIds::DrainUp() {
   int64_t frontier = INT64_MAX;
   for (const auto& shard : shards_) {
     frontier = std::min(
-        frontier, shard->agg_complete_ns.load(std::memory_order_acquire));
+        frontier, shard->processed_ns.load(std::memory_order_acquire));
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
@@ -1149,21 +1000,6 @@ void ShardedIds::DrainUp() {
             m_agg_events_->Inc();
             pending_[i].push_back(msg.agg);
             break;
-          case UpMsg::Kind::kAggHot: {
-            m_escalations_->Inc();
-            auto& hot = msg.agg.kind == Vids::AggregateKind::kInviteRequest
-                            ? hot_invite_
-                            : hot_drdos_;
-            auto it = hot.find(msg.agg.key);
-            if (it == hot.end()) {
-              hot.emplace(msg.agg.key, msg.when_ns);
-              hot_pending_.push_back(
-                  HotBroadcast{msg.agg.kind, msg.agg.key, msg.when_ns});
-            } else {
-              it->second = std::max(it->second, msg.when_ns);
-            }
-            break;
-          }
           case UpMsg::Kind::kFlushAck:
             if (msg.token == flush_token_) ++flush_acks_;
             break;
@@ -1173,43 +1009,19 @@ void ShardedIds::DrainUp() {
     }
   }
   ReplayAggregates(frontier);
-  BroadcastHotKeys();
-}
-
-void ShardedIds::BroadcastHotKeys() {
-  // Not while stopping: a worker past its kStop never drains its control
-  // lane, so a push into a full one would wait forever. (The events behind
-  // the escalation still replay — Stop()'s terminal drain is ungated.)
-  if (broadcasting_ || stopping_ || hot_pending_.empty()) return;
-  broadcasting_ = true;
-  // Index loop, not iterators: PushDown can hit backpressure and re-enter
-  // DrainUp, which may append more escalations; the loop picks them up.
-  for (size_t b = 0; b < hot_pending_.size(); ++b) {
-    for (int s = 0; s < shards(); ++s) {
-      PushDown(s, [&](ShardMsg& msg) {
-        const HotBroadcast& hb = hot_pending_[b];  // re-index: DrainUp may
-        msg.kind = ShardMsg::Kind::kAggHot;        // have grown the vector
-        msg.when_ns = hb.when_ns;
-        msg.agg = hb.agg;
-        msg.key.assign(hb.key);
-      });
-    }
-  }
-  hot_pending_.clear();
-  CommitAllDown(FlushReason::kBarrier);
-  broadcasting_ = false;
 }
 
 void ShardedIds::ReplayAggregates(int64_t frontier) {
   // Safe-replay frontier (snapshotted by the caller before its drain):
   // every shard guarantees all its aggregate events at or before it are
   // already in pending_. Events beyond the frontier wait — a slow or
-  // still-buffering shard may yet emit an earlier one. (An event a shard
+  // still-working shard may yet emit an earlier one. (An event a shard
   // commits after the snapshot can tie the frontier exactly, never
-  // undercut it: per-ring times are non-decreasing, a shard's buffer only
-  // holds times above its published frontier, and the window counters are
-  // order-insensitive within one instant, so a same-instant straggler
-  // replayed in a later batch lands on identical state.)
+  // undercut it: per-ring times are non-decreasing, a shard's open
+  // up-batch only holds times at or above its published frontier, and the
+  // window counters are order-insensitive within one instant, so a
+  // same-instant straggler replayed in a later batch lands on identical
+  // state.)
   // K-way merge by event time. Ties across shards are replayed in shard
   // order; the window counters are order-insensitive within one instant
   // (counts and alert times depend only on the multiset of event times).
@@ -1263,11 +1075,7 @@ void ShardedIds::Flush(sim::Time now) {
     return;
   }
   m_flushes_->Inc();
-  int64_t now_ns = std::max(now.nanos(), last_ingest_ns_);
-  for (const auto& port : ports_) {
-    now_ns = std::max(now_ns,
-                      port->last_when_pub_.load(std::memory_order_relaxed));
-  }
+  const int64_t now_ns = std::max(now.nanos(), LatestIngestNs());
   // Quiescent-ports contract: the caller has synchronized with every
   // producer thread, so the coordinator may publish their open batches and
   // force their frontiers past the barrier (the workers' barrier check
@@ -1294,15 +1102,15 @@ void ShardedIds::Flush(sim::Time now) {
   }
   // Every shard acked — but an ack becomes visible with the batch's ring
   // commit, which precedes the shard's frontier store. Wait until every
-  // aggregate-complete frontier actually reached now_ns, then the final
-  // drain's (snapshot-before-drain) replay covers everything up to it.
+  // processed frontier actually reached now_ns, then the final drain's
+  // (snapshot-before-drain) replay covers everything up to it.
   for (;;) {
-    int64_t agg_frontier = INT64_MAX;
+    int64_t frontier = INT64_MAX;
     for (const auto& shard : shards_) {
-      agg_frontier = std::min(
-          agg_frontier, shard->agg_complete_ns.load(std::memory_order_acquire));
+      frontier = std::min(
+          frontier, shard->processed_ns.load(std::memory_order_acquire));
     }
-    if (agg_frontier >= now_ns) break;
+    if (frontier >= now_ns) break;
     DrainUp();
     std::this_thread::yield();
   }
@@ -1323,16 +1131,6 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
           .nanos();
   owner_table_->Prune(now_ns, owner_horizon_ns);
 
-  const int64_t idle_ns = config_.detection.keyed_idle_timeout.nanos();
-  // Hot-key records age out on the same horizon as the worker sketches, so
-  // a key that cools everywhere can re-escalate (and re-broadcast) later.
-  const auto prune_hot = [&](StringKeyed<int64_t>& hot) {
-    std::erase_if(hot, [&](const auto& kv) {
-      return now_ns - kv.second > idle_ns;
-    });
-  };
-  prune_hot(hot_invite_);
-  prune_hot(hot_drdos_);
   // Every event up to now_ns is replayed, so the coordinator clock may
   // catch up: window expiries and the fact base's sweep chain run on the
   // same grid instants as inline. Behavior profiles are swept here too,
@@ -1347,7 +1145,6 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
 
 void ShardedIds::Stop() {
   if (workers_joined_) return;
-  stopping_ = true;  // no more control-lane broadcasts from here on
   // Quiescent-ports contract (as in Flush): publish every port's open
   // batches and raise the frontiers to +inf so the workers' kStop barrier
   // (all lanes drained, all frontiers terminal) can pass.
@@ -1379,8 +1176,9 @@ void ShardedIds::Stop() {
     if (shard->thread.joinable()) shard->thread.join();
   }
   workers_joined_ = true;
-  // Workers are gone; ring contents are final (every shard shipped its
-  // whole staging buffer at kStop). Drain and replay everything.
+  // Workers are gone; ring contents are final (every aggregate event was
+  // committed with the batch that produced it). Drain and replay
+  // everything.
   DrainUp();
   ReplayAggregates(INT64_MAX);
 }
@@ -1452,8 +1250,6 @@ obs::MetricsRegistry ShardedIds::MergedMetrics() const {
   // now sums over producers.
   for (const auto& port : ports_) merged.MergeFrom(port->metrics_);
   uint64_t up_stalls = 0;
-  uint64_t agg_buffered = 0;
-  uint64_t agg_shipped = 0;
   std::string prefix;
   std::string lane_prefix;
   for (const auto& shard : shards_) {
@@ -1486,12 +1282,8 @@ obs::MetricsRegistry ShardedIds::MergedMetrics() const {
           .Inc(ports_[p]->lane_stalls_[si]);
     }
     up_stalls += shard->up_stalls;
-    agg_buffered += shard->agg.events_buffered;
-    agg_shipped += shard->agg.events_shipped;
   }
   merged.GetCounter("sharded.worker_stalls").Inc(up_stalls);
-  merged.GetCounter("sharded.agg_events_buffered").Inc(agg_buffered);
-  merged.GetCounter("sharded.agg_events_shipped").Inc(agg_shipped);
   merged.GetGauge("sharded.shards").Set(shards());
   merged.GetGauge("sharded.producers").Set(producers());
   merged.MergeFrom(coord_vids_.metrics());
@@ -1522,20 +1314,9 @@ size_t ShardedIds::MemoryBytes() const {
       bytes += lane->ring.capacity() * sizeof(ShardMsg) +
                lane->arena.MemoryBytes();
     }
-    bytes += shard->agg.buf.capacity() * sizeof(Vids::AggregateEvent);
-    for (const auto* sketches :
-         {&shard->agg.invite_sketch, &shard->agg.drdos_sketch}) {
-      for (const auto& [key, sketch] : *sketches) {
-        bytes += key.capacity() + sizeof(AggSketch) +
-                 sketch.recent.capacity() * sizeof(int64_t);
-      }
-    }
   }
   bytes += owner_table_->MemoryBytes();
   bytes += coord_vids_.fact_base().MemoryBytes();
-  for (const auto* hot : {&hot_invite_, &hot_drdos_}) {
-    for (const auto& [key, t] : *hot) bytes += key.capacity() + sizeof(int64_t);
-  }
   for (const auto& queue : pending_) {
     bytes += queue.size() * sizeof(Vids::AggregateEvent);
   }

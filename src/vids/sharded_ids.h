@@ -29,7 +29,7 @@
 // paired 1:1 with a PayloadArena slab so steady-state ingest memcpys
 // payload bytes into a contiguous per-lane arena instead of scattered
 // slot strings — plus one coordinator-only CONTROL lane (flush/stop
-// barriers, hot-key broadcasts, test wedges) and the up-ring. The worker
+// barriers, test wedges) and the up-ring. The worker
 // k-way merges its ingest lanes by (when_ns, seq): `seq` is a global
 // arrival number the dispatcher stamps, so the merged per-shard order is
 // EXACTLY the order a single producer would have delivered, and the alert
@@ -70,12 +70,11 @@
 // The detectors whose counting key spans calls — INVITE flooding (per
 // destination AOR), DRDoS reflection (per victim host) and the behavior
 // profiles (per caller / per account) — cannot live in any one shard.
-// Shards buffer their Vids::AggregateEvents in a local, time-ordered
-// staging buffer with per-key escalation sketches; the coordinator feeds
-// the merged, time-ordered event stream, gated on the aggregate-complete
-// frontier, into its own private Vids through Vids::FeedAggregate — the
-// code the inline engine runs. See DESIGN.md §11–§12 for the exactness
-// argument.
+// Each shard pushes its Vids::AggregateEvents into the up-batch of the
+// drain batch that produced them; the coordinator feeds the merged,
+// time-ordered event stream, gated on the shards' processed frontiers,
+// into its own private Vids through Vids::FeedAggregate — the code the
+// inline engine runs. See DESIGN.md §11–§12 for the exactness argument.
 //
 // Thread-ownership invariants (DESIGN.md §11, §15):
 //   - each shard's Scheduler + Vids are touched only by its worker thread;
@@ -100,12 +99,10 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/payload_arena.h"
 #include "common/spsc_ring.h"
-#include "common/strings.h"
 #include "net/datagram.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -142,21 +139,6 @@ struct ShardedConfig {
   /// reproduces the PR-5 slot-at-a-time handoff exactly; larger values
   /// amortize the index fences and the consumer wakeups over the batch.
   size_t batch_max = 32;
-  /// Bound on how long a partial producer batch may stay unpublished while
-  /// the port keeps calling Ingest()/Heartbeat() — enforced in BOTH clock
-  /// domains: wall clock, and the source timestamps carried by Ingest(),
-  /// so a faster-than-real-time replay (pcap/trace) cannot hold packets
-  /// unpublished across a capture gap that spans almost no wall time.
-  /// Flush() and Stop() always publish immediately.
-  int64_t batch_flush_us = 50;
-
-  // --- coordinator-free aggregate path (DESIGN.md §12) ---
-  /// How long (simulated time) a shard may hold a cold aggregate event
-  /// locally before shipping it upstream. Larger values batch harder and
-  /// delay cold-key replay by at most this much; alerts carry event
-  /// timestamps, so the alert multiset is unaffected. 0 ships every event
-  /// at the end of the batch that produced it (PR-5 behavior, batched).
-  sim::Duration agg_hold = sim::Duration::Millis(250);
 
   // --- pipeline observability (DESIGN.md §13) ---
   /// Sample one in this many ingested packets (per port) for a pipeline
@@ -279,6 +261,14 @@ class ShardedIds {
     obs::Histogram* m_batch_committed_;
   };
 
+  /// Bound on how long a partial producer batch may stay unpublished while
+  /// the port keeps calling Ingest()/Heartbeat() — enforced in BOTH clock
+  /// domains: wall clock, and the source timestamps carried by Ingest(),
+  /// so a faster-than-real-time replay (pcap/trace) cannot hold packets
+  /// unpublished across a capture gap that spans almost no wall time.
+  /// Pump(), Flush() and Stop() always publish immediately.
+  static constexpr int64_t kBatchFlushMicros = 50;
+
   explicit ShardedIds(ShardedConfig config);
   ~ShardedIds();
   ShardedIds(const ShardedIds&) = delete;
@@ -377,10 +367,11 @@ class ShardedIds {
   /// Endpoint routes that fell off the two-deep claim history (packet older
   /// than both recorded eras — the bounded slow path). Post-Flush.
   uint64_t route_escalations() const;
-  /// Shard-local sketch escalations reported to the coordinator: keys whose
-  /// local event density alone proved they could sit inside a globally
-  /// over-threshold window, and so turned hot (DESIGN.md §12).
-  uint64_t aggregate_escalations() const { return m_escalations_->value(); }
+  /// Always 0: aggregate events ship with the batch that produced them, so
+  /// nothing escalates. Kept only because the replay benchmark
+  /// (replaybench/src/topologies.cpp) still reads it; it goes with the
+  /// benchmark's next revision.
+  uint64_t aggregate_escalations() const { return 0; }
 
   /// Stall episodes the watchdog has alerted on (one per episode; worker-
   /// and producer-attributed episodes both count).
@@ -399,10 +390,6 @@ class ShardedIds {
   void UnwedgeWorkerForTest(int shard);
 
  private:
-  template <typename T>
-  using StringKeyed =
-      std::unordered_map<std::string, T, common::StringHash, std::equal_to<>>;
-
   // ---- messages ----
   struct ShardMsg {
     enum class Kind : uint8_t {
@@ -410,7 +397,6 @@ class ShardedIds {
       kRetractMedia,  // ingest lanes (rides the claiming port's lane)
       kFlush,         // control lane (coordinator only)
       kStop,          // control lane
-      kAggHot,        // control lane: `key` escalated on some shard
       kWedge,         // control lane: test hook (watchdog)
     };
     Kind kind = Kind::kPacket;
@@ -430,45 +416,13 @@ class ShardedIds {
     net::Datagram dgram;        // kPacket (payload string reused in place)
     net::Endpoint endpoint;     // kRetractMedia
     uint64_t token = 0;         // kFlush
-    Vids::AggregateKind agg{};  // kAggHot
-    std::string key;            // kAggHot (reused in place)
   };
   struct UpMsg {
-    enum class Kind : uint8_t { kAlert, kAgg, kAggHot, kFlushAck };
+    enum class Kind : uint8_t { kAlert, kAgg, kFlushAck };
     Kind kind = Kind::kAlert;
-    int64_t when_ns = 0;
     Alert alert;               // kAlert (strings reused in place)
-    Vids::AggregateEvent agg;  // kAgg: the event; kAggHot: kind + key
+    Vids::AggregateEvent agg;  // kAgg (strings reused in place)
     uint64_t token = 0;        // kFlushAck
-  };
-
-  /// Per-key sliding sketch of this shard's most recent aggregate-event
-  /// times (worker-owned). `recent` is a ring of the last E event times,
-  /// E = the shard's escalation share: when all E land inside one
-  /// detection window, the shard's local count alone proves the key could
-  /// be inside a globally over-threshold window, and the key turns hot.
-  struct AggSketch {
-    std::vector<int64_t> recent;
-    size_t next = 0;
-    bool hot = false;
-    int64_t last_event_ns = 0;
-  };
-
-  /// Worker-owned aggregate staging state. The coordinator may read it
-  /// only behind a Flush() barrier (TrackedState/MemoryBytes).
-  struct AggLocal {
-    std::vector<Vids::AggregateEvent> buf;  // time-ordered; [begin, end) live
-    size_t begin = 0;
-    size_t end = 0;
-    StringKeyed<AggSketch> invite_sketch;
-    StringKeyed<AggSketch> drdos_sketch;
-    /// Keys currently hot on this shard. While nonzero the whole buffer is
-    /// shipped at every batch end, so hot-key replay tracks the packet
-    /// frontier instead of lagging by agg_hold.
-    size_t hot_keys = 0;
-    uint64_t events_buffered = 0;  // total hook events staged
-    uint64_t events_shipped = 0;   // total shipped upstream
-    size_t live() const { return end - begin; }
   };
 
   /// Per-slot byte budget of each ingest lane's payload arena (the slab is
@@ -487,7 +441,7 @@ class ShardedIds {
   struct Shard {
     /// Ingest lanes, one per port (index = port index).
     std::vector<std::unique_ptr<Lane>> lanes;
-    /// Coordinator-only control lane (kFlush/kStop/kAggHot/kWedge).
+    /// Coordinator-only control lane (kFlush/kStop/kWedge).
     common::SpscRing<ShardMsg> down;
     common::SpscRing<UpMsg> up;
     std::unique_ptr<sim::Scheduler> scheduler;
@@ -541,18 +495,15 @@ class ShardedIds {
     /// Source-time progress frontier: the highest packet/flush time this
     /// worker fully processed (post-batch), or its scheduler's position
     /// after each timer-running slice of a catch-up (watchdog-enabled
-    /// configs only). Post-batch stores are
-    /// release-ordered after every upstream message for that time; the
-    /// watchdog additionally reads this as source-reported progress so a
-    /// worker sweeping through a replayed capture gap re-anchors its stall
-    /// episode instead of alerting.
+    /// configs only). Every store is release-ordered after the up-ring
+    /// commit that publishes everything emitted up to that time, so every
+    /// aggregate event this shard will ever emit with when_ns <= this
+    /// value is already in the up-ring: the coordinator's replay gate is
+    /// the min of these across shards. The watchdog additionally reads
+    /// this as source-reported progress so a worker sweeping through a
+    /// replayed capture gap re-anchors its stall episode instead of
+    /// alerting.
     std::atomic<int64_t> processed_ns{0};
-    /// Aggregate-complete frontier: every aggregate event this shard will
-    /// ever emit with when_ns <= this value is already published in the
-    /// up-ring. Written (release) after the batch's ships are committed;
-    /// the coordinator's replay gate is the min of these across shards.
-    std::atomic<int64_t> agg_complete_ns{0};
-    AggLocal agg;
     /// Times this worker found its up-ring full (worker-owned plain slot;
     /// the coordinator folds it into MergedMetrics post-Flush).
     uint64_t up_stalls = 0;
@@ -575,8 +526,8 @@ class ShardedIds {
   /// dimensions (DESIGN.md §13).
   enum class FlushReason : uint8_t {
     kFull,      // batch_max reached, or backpressure forced the open batch
-    kDeadline,  // batch_flush_us bound expired (wall clock or source time)
-    kBarrier,   // Pump/Flush/Stop/broadcast published everything
+    kDeadline,  // kBatchFlushMicros expired (wall clock or source time)
+    kBarrier,   // Pump/Flush/Stop published everything
   };
 
   /// Coordinator-side view of one worker's health (coordinator thread).
@@ -606,9 +557,9 @@ class ShardedIds {
   /// there). With the watchdog enabled, a stretch with no event due before
   /// `when` is crossed in one jump; where timers are due, the catch-up
   /// runs one simulated minute from the next due event at a time, with a
-  /// heartbeat and a processed_ns store per slice, so mid-batch catch-up
-  /// work is visible as progress. Cost follows the due timers, not the
-  /// distance the clock moves.
+  /// heartbeat, an up-ring commit and a processed_ns store per slice, so
+  /// mid-batch catch-up work is visible as progress. Cost follows the due
+  /// timers, not the distance the clock moves.
   void AdvanceShardClock(Shard& shard, sim::Time when);
   /// Records a sampled packet's span: latency histograms + a kSpan flight
   /// record. `t0` is the enqueue wall time, `t_dequeue` the worker's
@@ -619,17 +570,6 @@ class ShardedIds {
   // that TU instantiates them.
   template <typename Fill>
   void PushUp(Shard& shard, Fill&& fill);
-  /// Aggregate hook target (worker thread): stages the event in the
-  /// shard-local buffer, updates the key's sliding sketch, and escalates
-  /// the key to hot when the sketch crosses the shard's share.
-  void StageAggregate(Shard& shard, const Vids::AggregateEvent& event);
-  /// Ships every held event with when_ns <= `horizon` upstream, in order,
-  /// into the open up-batch (not yet committed). Updates agg bookkeeping;
-  /// the caller publishes agg_complete_ns after committing.
-  void ShipAggPrefix(Shard& shard, int64_t horizon);
-  /// Drops sketch entries idle past the keyed horizon (worker thread;
-  /// runs on kFlush so the maps stay bounded like the coordinator's).
-  void PruneAggSketches(Shard& shard, int64_t now_ns);
 
   // ---- producer side (port threads) ----
   void IngestOn(IngestPort& port, const net::Datagram& dgram,
@@ -661,7 +601,7 @@ class ShardedIds {
   void DrainUp();
   /// Replays pending aggregate events with when_ns <= `frontier` in global
   /// time order. The frontier must have been snapshotted (min
-  /// agg_complete_ns, acquire) BEFORE the drain that filled pending_;
+  /// processed_ns, acquire) BEFORE the drain that filled pending_;
   /// INT64_MAX replays everything (only valid once the rings are final).
   void ReplayAggregates(int64_t frontier);
   /// Advances the coordinator scheduler to the event's time (window
@@ -671,9 +611,8 @@ class ShardedIds {
   /// Inserts into the retained history at its canonical position (see
   /// alerts()).
   void EmitAlert(Alert alert);
-  /// Flush-time upkeep: prunes the ownership table and hot-key records,
-  /// advances the coordinator Vids to `now_ns` and sweeps its behavior
-  /// profiles.
+  /// Flush-time upkeep: prunes the ownership table, advances the
+  /// coordinator Vids to `now_ns` and sweeps its behavior profiles.
   void PruneCoordinator(int64_t now_ns);
   /// Pushes one control message to `shard` (coordinator thread only;
   /// drains upstream while it waits out backpressure).
@@ -681,10 +620,6 @@ class ShardedIds {
   void PushDown(int shard, Fill&& fill);
   /// Publishes every shard's open CONTROL batch (one release store each).
   void CommitAllDown(FlushReason reason);
-  /// Re-broadcasts queued shard escalations (kAggHot) down every control
-  /// lane. Deferred out of the drain loop and guarded against re-entry:
-  /// PushDown can call DrainUp while it waits out backpressure.
-  void BroadcastHotKeys();
   /// Stall detector (coordinator thread, called from DrainUp and throttled
   /// to ~threshold/8): raises one EngineHealth alert per stall episode,
   /// attributed to the producer lane the worker is merge-blocked on when
@@ -710,30 +645,12 @@ class ShardedIds {
   /// claims — media_owner_table.h).
   std::unique_ptr<MediaOwnerTable> owner_table_;
   bool workers_joined_ = false;
-  int64_t last_ingest_ns_ = 0;   // legacy single-thread path bookkeeping
   uint64_t ingest_count_ = 0;
   uint64_t flush_token_ = 0;
   size_t flush_acks_ = 0;
 
   /// Per-shard, time-ordered aggregate events awaiting the frontier.
   std::vector<std::deque<Vids::AggregateEvent>> pending_;
-
-  /// Keys already broadcast hot, by kind → last escalation time. Dedups the
-  /// broadcast (several shards may escalate one key); pruned once idle.
-  StringKeyed<int64_t> hot_invite_;
-  StringKeyed<int64_t> hot_drdos_;
-  struct HotBroadcast {
-    Vids::AggregateKind agg{};
-    std::string key;
-    int64_t when_ns = 0;
-  };
-  /// Escalations collected during DrainUp, broadcast after the drain (a
-  /// broadcast can hit backpressure, which re-enters DrainUp).
-  std::vector<HotBroadcast> hot_pending_;
-  bool broadcasting_ = false;
-  /// True once Stop() started: no more control broadcasts (a worker past
-  /// its kStop never drains them, so a full ring would wait forever).
-  bool stopping_ = false;
 
   /// Span sampling. trace_on_/trace_mask_ are derived from
   /// trace_sample_period once in the constructor; the off configuration
@@ -748,12 +665,6 @@ class ShardedIds {
   int64_t watchdog_poll_ns_ = 0;
   int64_t last_watchdog_check_ns_ = 0;
   std::vector<ShardHealth> health_;
-
-  /// Per-shard escalation shares: ceil((threshold + 1) / shards) local
-  /// events inside one window turn a key hot. Computed once in the
-  /// constructor.
-  int64_t esc_invite_share_ = 1;
-  int64_t esc_drdos_share_ = 1;
 
   /// Canonical deterministic sort key of each retained alert (parallel to
   /// alerts_): alert time, ties broken by the rendered alert text.
@@ -772,7 +683,6 @@ class ShardedIds {
   obs::MetricsRegistry coord_metrics_;
   obs::Counter* m_agg_events_;
   obs::Counter* m_flushes_;
-  obs::Counter* m_escalations_;
   obs::Counter* m_watchdog_stalls_;
   obs::Counter* m_watchdog_producer_stalls_;
   obs::Counter* m_flush_full_;

@@ -294,8 +294,8 @@ TEST(BehaviorScenarioTest, AlertsByteIdenticalAcrossShardsAndProducers) {
   // The full behavioral workload (all three scenarios plus a benign
   // stream with spec-machine attack bursts) must produce the exact same
   // alert byte stream no matter how the pipeline is parallelized —
-  // behavior events ride the shard-local aggregate staging path and are
-  // replayed in frontier order on the coordinator.
+  // behavior events ship upstream with the drain batch that produced them
+  // and are replayed in frontier order on the coordinator.
   const auto run = [](int shards, int producers) {
     SoakConfig config;
     config.seed = 13;

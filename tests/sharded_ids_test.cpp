@@ -352,6 +352,26 @@ sip::Message MakeInDialog(sip::Method method, const std::string& call_id,
   return request;
 }
 
+// REGISTER for `user`@b.example.com from `client`; `id` names the
+// transaction (Via branch, From tag, Call-ID).
+sip::Message MakeRegister(const std::string& user, const std::string& id,
+                          net::Endpoint client) {
+  auto reg = sip::Message::MakeRequest(
+      sip::Method::kRegister, *sip::SipUri::Parse("sip:b.example.com"));
+  sip::Via via;
+  via.sent_by = client;
+  via.branch = "z9hG4bK" + id;
+  reg.PushVia(via);
+  sip::NameAddr aor;
+  aor.uri = *sip::SipUri::Parse("sip:" + user + "@b.example.com");
+  reg.SetTo(aor);
+  aor.SetTag("tag-" + id);
+  reg.SetFrom(aor);
+  reg.SetCallId(id + "@trace");
+  reg.SetCseq(sip::CSeq{1, sip::Method::kRegister});
+  return reg;
+}
+
 // Builds an attack-scenario trace with monotonically increasing timestamps.
 // All steps are 17 ms — deliberately off every detection-window boundary so
 // timer-vs-packet ties can't depend on floating sweep cadence.
@@ -567,11 +587,9 @@ TEST(ShardedEquivalence, ShardCountsAgreeWithEachOther) {
 }
 
 TEST(ShardedEquivalence, BatchingKnobsNeverChangeAlerts) {
-  // The alert multiset must be invariant across the whole batching matrix:
-  // slot-at-a-time (batch_max = 1, the PR-5 handoff), deep batching with
-  // immediate aggregate shipping (agg_hold = 0), and deep batching with a
-  // hold so large that cold events only ever ship at Flush/Stop (so the
-  // escalation path and the barrier ships carry everything).
+  // The alert multiset must be invariant across the batching matrix:
+  // slot-at-a-time (batch_max = 1, the PR-5 handoff) and deep batching
+  // (batch_max = 64), against the default batch size.
   const auto trace = AttackScenarioTrace();
   const auto baseline = SortedSigs(RunSharded(trace, 4));  // defaults
   EXPECT_FALSE(baseline.empty());
@@ -579,43 +597,12 @@ TEST(ShardedEquivalence, BatchingKnobsNeverChangeAlerts) {
   ShardedConfig unbatched;
   unbatched.shards = 4;
   unbatched.batch_max = 1;
-  unbatched.agg_hold = sim::Duration::Seconds(0);
   EXPECT_EQ(baseline, SortedSigs(RunShardedCfg(trace, unbatched)));
 
-  ShardedConfig eager;
-  eager.shards = 4;
-  eager.batch_max = 64;
-  eager.agg_hold = sim::Duration::Seconds(0);
-  EXPECT_EQ(baseline, SortedSigs(RunShardedCfg(trace, eager)));
-
-  ShardedConfig lazy;
-  lazy.shards = 4;
-  lazy.batch_max = 64;
-  lazy.agg_hold = sim::Duration::Seconds(3600);
-  EXPECT_EQ(baseline, SortedSigs(RunShardedCfg(trace, lazy)));
-}
-
-TEST(ShardedEquivalence, FloodEscalatesShardSketchesToHot) {
-  // With an hour-long hold, cold events would only surface at the Flush
-  // barrier — so any timely shipping during the flood must come from the
-  // sketch escalation. Verify it fires, and that alerts stay exact.
-  const auto trace = AttackScenarioTrace();
-  ShardedConfig config;
-  config.shards = 4;
-  config.agg_hold = sim::Duration::Seconds(3600);
-  ShardedIds engine(config);
-  sim::Time last;
-  for (const TracePacket& p : trace) {
-    engine.Ingest(p.dgram, p.from_outside, p.when);
-    last = p.when;
-  }
-  engine.Flush(last);
-  // invite_flood_threshold = 5 on 4 shards → share = ceil(6/4) = 2: the
-  // 8-INVITE flood puts ≥ 2 same-window events on some shard. Same math
-  // for the 13-response DRDoS burst.
-  EXPECT_GT(engine.aggregate_escalations(), 0u);
-  engine.Stop();
-  EXPECT_EQ(SortedSigs(RunSharded(trace, 4)), SortedSigs(engine.alerts()));
+  ShardedConfig deep;
+  deep.shards = 4;
+  deep.batch_max = 64;
+  EXPECT_EQ(baseline, SortedSigs(RunShardedCfg(trace, deep)));
 }
 
 TEST(ShardedEquivalence, TraceCoversEveryRelevantClassification) {
@@ -670,8 +657,8 @@ TEST(ShardedBackpressure, TinyRingsStallButLoseNothing) {
 
 TEST(AggregateHook, DrdosKeyIsVictimIpFromPacket) {
   // The DRDoS event must name the packet's destination IP itself — as the
-  // dotted key the shard sketches use and as the address bits the window
-  // group is keyed by — not an event arg that could be absent: an
+  // dotted event key and as the address bits the window group is keyed
+  // by — not an event arg that could be absent: an
   // empty-key fallback would collapse all victims into one shared window
   // counter.
   sim::Scheduler scheduler;
@@ -707,19 +694,7 @@ TEST(ShardedBehavior, FlushReclaimsRegisterOnlyProfiles) {
   sim::Time t = sim::Time::FromNanos(0) + sim::Duration::Seconds(1);
   for (int k = 0; k < 4; ++k) {
     const std::string account = "acct-" + std::to_string(k);
-    auto reg = sip::Message::MakeRequest(
-        sip::Method::kRegister, *sip::SipUri::Parse("sip:b.example.com"));
-    sip::Via via;
-    via.sent_by = client;
-    via.branch = "z9hG4bKreg-" + account;
-    reg.PushVia(via);
-    sip::NameAddr aor;
-    aor.uri = *sip::SipUri::Parse("sip:" + account + "@b.example.com");
-    reg.SetTo(aor);
-    aor.SetTag("tag-" + account);
-    reg.SetFrom(aor);
-    reg.SetCallId("reg-" + account + "@trace");
-    reg.SetCseq(sip::CSeq{1, sip::Method::kRegister});
+    const auto reg = MakeRegister(account, "reg-" + account, client);
     engine.Ingest(SipDgram(reg, client, kProxyB), true, t);
     t = t + sim::Duration::Millis(10);
     engine.Ingest(
@@ -732,6 +707,54 @@ TEST(ShardedBehavior, FlushReclaimsRegisterOnlyProfiles) {
   engine.Flush(t + DetectionConfig{}.behavior.IdleHorizon() +
                sim::Duration::Seconds(5));
   EXPECT_EQ(engine.behavior().profile_count(), 0u);
+  engine.Stop();
+}
+
+TEST(ShardedBehavior, PumpAloneDeliversFreshBehaviorAlert) {
+  // Distributed registration cracking against one account: twelve clients
+  // each get a 401. The behavior alert fires on the tenth failure, a few
+  // packets before the end of the stream. With no Flush() and no later
+  // traffic, Pump() alone must surface it: every aggregate event ships in
+  // the up-batch of the drain batch that produced it, so once the worker
+  // has processed the last packet its frontier vouches for all of them.
+  TraceBuilder b;
+  for (int k = 0; k < 12; ++k) {
+    const net::Endpoint client{
+        net::IpAddress(10, 9, 3, static_cast<uint8_t>(10 + k)), 5060};
+    const auto reg = MakeRegister("victim", "crack-" + std::to_string(k),
+                                  client);
+    b.Add(SipDgram(reg, client, kProxyB), true);
+    b.Step();
+    b.Add(SipDgram(MakeResponse(reg, 401, std::nullopt), kProxyB, client),
+          false);
+    b.Step();
+  }
+  const std::vector<TracePacket>& trace = b.trace();
+  const std::vector<Alert> plain = RunPlain(trace);
+  const auto behavior_alert =
+      std::find_if(plain.begin(), plain.end(), [](const Alert& alert) {
+        return alert.kind == AlertKind::kBehavior;
+      });
+  ASSERT_NE(behavior_alert, plain.end());
+  // The evidence ends inside the 250 ms the shards once held cold events.
+  ASSERT_LT(trace.back().when - behavior_alert->when,
+            sim::Duration::Millis(250));
+
+  ShardedConfig config;
+  config.shards = 1;
+  ShardedIds engine(config);
+  for (const TracePacket& p : trace) {
+    engine.Ingest(p.dgram, p.from_outside, p.when);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.alerts().size() < plain.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    engine.Pump();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(engine.CountAlerts(AlertKind::kBehavior), 1u);
+  EXPECT_EQ(SortedSigs(plain), SortedSigs(engine.alerts()));
   engine.Stop();
 }
 
