@@ -181,9 +181,15 @@ int main() {
     scheduler.RunUntil(scheduler.Now() + ids::DetectionConfig{}.rtp_close_linger +
                        sim::Duration::Seconds(5));
     OpenCall(vids, 9999);
-    const size_t after = vids.fact_base().MemoryBytes();
-    std::printf("200 calls open: %zu KB -> all closed + swept: %zu KB\n",
+    // The swept groups parked in the reuse pool are capacity, not call
+    // state: judge deletion on the live remainder, and show the pool apart.
+    const size_t pooled = vids.fact_base().PooledBytes();
+    const size_t after = vids.fact_base().MemoryBytes() - pooled;
+    std::printf("200 calls open: %zu KB -> all closed + swept: %zu KB live\n",
                 before / 1024, after / 1024);
+    std::printf("group reuse pool: %zu KB (at most kGroupPoolCap = %zu "
+                "groups, counted in MemoryBytes)\n",
+                pooled / 1024, ids::CallStateFactBase::kGroupPoolCap);
     std::printf("state deleted at final call state -> %s\n",
                 after < before / 4 ? "OK" : "MISMATCH");
   }

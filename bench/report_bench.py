@@ -54,16 +54,6 @@ falling back to the benchmark's `cores` counter) — a 1-core container
 serializes the workers, so there the screen reports a loud SKIP naming
 the recorded core count and exits 0 instead of recording a meaningless
 failure.
-
---scaling also screens the producer axis when BM_ShardedIngestMp rows
-are present:
-  * the single-producer fan-out (producers=1) must stay within 10% of the
-    direct BM_ShardedIngestBatched throughput at the same shard count —
-    the MPSC capability may not tax deployments that do not use it;
-  * 4 producers must deliver >= 2x the 1-producer throughput at 4 shards.
-    Like the shard gate, this only binds on >= 4 cores; below that the
-    screen reports a loud SKIP naming both the recorded core count and
-    the producer count whose measurement is meaningless there.
 """
 import json
 import os
@@ -116,73 +106,6 @@ def screen_scaling(last: dict, check: bool) -> int:
           f"throughput ({four:.0f} vs {one:.0f} items/s, {cores} cores)",
           file=sys.stderr)
     return 0
-
-
-def screen_producer_scaling(last: dict, check: bool) -> int:
-    """Gates the BM_ShardedIngestMp producer axis (see module docstring)."""
-    mp = {}       # (producers, shards) -> entry
-    batched = {}  # shards -> entry
-    for name, entry in last["results"].items():
-        if "items_per_second" not in entry:
-            continue
-        if name.startswith("BM_ShardedIngestMp/"):
-            if "producers" in entry and "shards" in entry:
-                mp[(int(entry["producers"]), int(entry["shards"]))] = entry
-        elif name.startswith("BM_ShardedIngestBatched/"):
-            if "shards" in entry:
-                batched[int(entry["shards"])] = entry
-    if not mp:
-        print("SCALING: no BM_ShardedIngestMp rows in the run; producer "
-              "axis not screened", file=sys.stderr)
-        return 1 if check else 0
-    status = 0
-
-    # Single-producer fan-out overhead vs the direct batched ingest.
-    for shards, direct in sorted(batched.items()):
-        entry = mp.get((1, shards))
-        if entry is None:
-            continue
-        direct_ips = direct["items_per_second"]
-        mp_ips = entry["items_per_second"]
-        if direct_ips > 0 and mp_ips < direct_ips / 1.10:
-            pct = 100.0 * (1.0 - mp_ips / direct_ips)
-            print(f"VIOLATION: 1-producer fan-out at {shards} shard(s) is "
-                  f"{pct:.1f}% below the direct batched ingest "
-                  f"({mp_ips:.0f} vs {direct_ips:.0f} items/s); the MPSC "
-                  f"capability must cost <= 10% when unused",
-                  file=sys.stderr)
-            status = 1 if check else status
-        else:
-            print(f"SCALING: OK — 1-producer fan-out at {shards} shard(s) "
-                  f"is within 10% of direct ingest ({mp_ips:.0f} vs "
-                  f"{direct_ips:.0f} items/s)", file=sys.stderr)
-
-    # Producer-axis throughput: 4 producers vs 1 at 4 shards.
-    if (1, 4) not in mp or (4, 4) not in mp:
-        print("SCALING: 1- and 4-producer BM_ShardedIngestMp rows at 4 "
-              "shards not both present; producer scaling not screened",
-              file=sys.stderr)
-        return max(status, 1 if check else 0)
-    cores = int(last.get("cpu_count") or mp[(4, 4)].get("cores", 0))
-    if cores < 4:
-        print(f"SCALING: producer axis SKIPPED — the run was recorded on "
-              f"{cores} core(s), and 4 producers cannot outrun 1 producer "
-              f"on fewer than 4 cores; the 2x producer gate only binds for "
-              f"runs recorded on >= 4 cores.", file=sys.stderr)
-        return status
-    one = mp[(1, 4)]["items_per_second"]
-    four = mp[(4, 4)]["items_per_second"]
-    ratio = four / one if one > 0 else 0.0
-    if ratio < 2.0:
-        print(f"VIOLATION: 4-producer throughput is {ratio:.2f}x "
-              f"1-producer at 4 shards ({four:.0f} vs {one:.0f} items/s); "
-              f"the fan-out must deliver >= 2x on a >= 4-core host",
-              file=sys.stderr)
-        return max(status, 1 if check else 0)
-    print(f"SCALING: OK — 4 producers deliver {ratio:.2f}x 1-producer "
-          f"throughput at 4 shards ({four:.0f} vs {one:.0f} items/s, "
-          f"{cores} cores)", file=sys.stderr)
-    return status
 
 
 def screen_latency(last: dict, snapshot: dict) -> int:
@@ -343,8 +266,7 @@ def main() -> int:
                 max(b.get("allocs_per_iter", 0.0) for b in reps), 3)
         # Scaling-row context: throughput plus the shard/host counters the
         # --scaling screen interprets.
-        for key in ("items_per_second", "shards", "producers", "cores",
-                    "ingest_stalls"):
+        for key in ("items_per_second", "shards", "cores", "ingest_stalls"):
             if key in bench:
                 entry[key] = round(bench[key], 3)
         results[name] = entry
@@ -396,8 +318,6 @@ def main() -> int:
                     baseline, baseline_label)
     if scaling:
         status = max(status, screen_scaling(tracked["runs"][-1], check))
-        status = max(status,
-                     screen_producer_scaling(tracked["runs"][-1], check))
     if latency_snapshot is not None:
         status = max(status,
                      screen_latency(tracked["runs"][-1], latency_snapshot))

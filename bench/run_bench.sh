@@ -12,7 +12,7 @@ set -euo pipefail
 LABEL="${1:-dev}"
 BUILD_DIR="${2:-build-bench}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-FILTER='BM_EfsmTransition|BM_ClassifySip|BM_ClassifyRtp|BM_VidsInspectRtpInSession|BM_VidsInspectRtpPaced|BM_VidsInspectSip|BM_FactBaseSweep'
+FILTER='BM_EfsmTransition|BM_ClassifySip|BM_ClassifyRtp|BM_VidsInspectRtpInSession|BM_VidsInspectRtpPaced|BM_VidsInspectSip|BM_FactBaseSweep|BM_ShardedIngest/'
 RAW_JSON="$(mktemp /tmp/micro_core.XXXXXX.json)"
 trap 'rm -f "$RAW_JSON"' EXIT
 

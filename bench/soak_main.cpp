@@ -8,8 +8,8 @@
 // any quantity failed to plateau — the CI gate against IDS-side leaks.
 //
 // Usage: soak [--calls=N] [--rate=CPS] [--seed=S] [--sample-every=SEC]
-//             [--attack-every=N] [--pause=SEC] [--shards=N] [--producers=N]
-//             [--trace=N] [--tap] [--duration=SEC] [--csv=FILE] [--check]
+//             [--attack-every=N] [--pause=SEC] [--shards=N] [--trace=N]
+//             [--tap] [--duration=SEC] [--csv=FILE] [--check]
 //             [--pcap=FILE] [--inside=CIDR] [--caller-aors=N]
 //             [--spit=N] [--reg-crack=N] [--toll-fraud=N]
 //
@@ -24,10 +24,7 @@
 // --shards=N drives the same workload through the sharded multi-worker
 // engine (N worker threads behind SPSC rings) instead of the direct
 // single-threaded Vids; the report then also prints wall-clock ingest
-// throughput for the scaling table. --producers=N (sharded only) fans the
-// same stream out over N ingest ports via the MpIngest dispatcher — the
-// alert totals must not move, which is the soak-scale equivalence proof
-// for the multi-producer path. --trace=N sets the pipeline span
+// throughput for the scaling table. --trace=N sets the pipeline span
 // sampling period for sharded runs (1-in-N packets, 0 = off), so the
 // soak's alert totals double as the proof that span sampling never
 // changes detection behavior.
@@ -100,8 +97,6 @@ int main(int argc, char** argv) {
       config.pause = sim::Duration::Seconds(value);
     } else if (ParseFlag(arg, "--shards", &value)) {
       config.shards = static_cast<int>(value);
-    } else if (ParseFlag(arg, "--producers", &value)) {
-      config.producers = static_cast<int>(value);
     } else if (ParseFlag(arg, "--trace", &value)) {
       config.trace_sample_period = static_cast<uint32_t>(value);
     } else if (ParseFlag(arg, "--caller-aors", &value)) {
@@ -139,13 +134,11 @@ int main(int argc, char** argv) {
     if (config.shards > 0) {
       ids::ShardedConfig sharded;
       sharded.shards = config.shards;
-      sharded.producers = std::max(1, config.producers);
       sharded.ring_capacity = config.ring_capacity;
       sharded.detection = config.detection;
       sharded.trace_sample_period = config.trace_sample_period;
       ids::ShardedIds engine(sharded);
-      replay = capture::RunSource(*source, engine, config.producers,
-                                  /*batch_size=*/64);
+      replay = capture::RunSource(*source, engine);
       engine.Stop();
       alerts = engine.alerts().size();
     } else {
@@ -190,8 +183,7 @@ int main(int argc, char** argv) {
     report = load::RunTapSoak(config, sim::Duration::Seconds(duration_s));
   } else {
     if (config.shards > 0) {
-      std::printf("sharded mode (%d workers, %d producers): ", config.shards,
-                  std::max(1, config.producers));
+      std::printf("sharded mode (%d workers): ", config.shards);
     } else {
       std::printf("direct mode: ");
     }

@@ -1,189 +1,6 @@
 #include "capture/replay.h"
 
-#include <thread>
-
 namespace vids::capture {
-
-namespace {
-
-/// How many packets a feeder's handoff queue can hold. Large enough to
-/// decouple the dispatcher from transient feeder stalls, small enough that
-/// the payload slabs stay cache-friendly.
-constexpr size_t kDispatchRingSlots = 2048;
-
-/// Dispatcher upkeep cadence: every this many Ingest() calls the
-/// dispatcher pumps the coordinator surface and vouches port 0's frontier
-/// up to the dispatch head, so sparse SIP traffic never gates the merges.
-constexpr uint64_t kUpkeepPeriod = 64;
-
-}  // namespace
-
-MpIngest::MpIngest(ids::ShardedIds& engine, int producers)
-    : engine_(engine), producers_(producers) {
-  if (producers_ > engine_.producers()) producers_ = engine_.producers();
-  if (producers_ < 1) producers_ = 1;
-  // This thread owns port 0 and the coordinator surface, so port 0's
-  // backpressure wait must drain the up-rings itself (the engine may have
-  // been built with producers > 1, which leaves this off by default).
-  engine_.port(0).set_inline_drain(true);
-  const int feeders = producers_ - 1;
-  feeders_.reserve(static_cast<size_t>(feeders));
-  for (int f = 0; f < feeders; ++f) {
-    feeders_.push_back(std::make_unique<Feeder>(kDispatchRingSlots));
-  }
-  for (int f = 0; f < feeders; ++f) {
-    Feeder& feeder = *feeders_[static_cast<size_t>(f)];
-    feeder.thread = std::thread([this, &feeder, f] {
-      FeedPort(feeder, engine_.port(f + 1));
-    });
-  }
-}
-
-MpIngest::~MpIngest() { Finish(); }
-
-void MpIngest::FeedPort(Feeder& feeder, ids::ShardedIds::IngestPort& port) {
-  int64_t heartbeat_ns = 0;
-  for (;;) {
-    // Ordering is load-bearing in both idle branches below: an "empty"
-    // verdict only proves anything about pushes that happen-before an
-    // acquire load SEQUENCED BEFORE the emptiness re-check. A FrontN that
-    // ran first can miss a committed item whose flag/watermark IS visible.
-    if (pause_.load(std::memory_order_acquire) && feeder.ring.FrontN(1) == 0) {
-      // Park: the pause acquire makes every pre-Quiesce dispatch visible,
-      // so the empty re-check proves all of them are fully ingested. No
-      // port activity (not even heartbeats) until Resume() — the
-      // dispatcher may be mid-Flush.
-      feeder.parked.store(true, std::memory_order_release);
-      while (pause_.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      feeder.parked.store(false, std::memory_order_relaxed);
-      continue;
-    }
-    const int64_t w = watermark_ns_.load(std::memory_order_acquire);
-    const size_t n = feeder.ring.FrontN(16);
-    if (n == 0) {
-      // Idle: vouch the port's frontier from the dispatch watermark. The
-      // watermark acquire makes every dispatch up to `w` visible, so the
-      // empty ring proves this feeder's future packets were dispatched
-      // later — and by stream time order carry when >= w. Heartbeat(w)
-      // (frontier w-1) is then sound, and an unlucky round-robin split
-      // never stalls the workers' lane merges.
-      if (w > heartbeat_ns) {
-        port.Heartbeat(sim::Time::FromNanos(w));
-        heartbeat_ns = w;
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      DispatchItem& item = feeder.ring.At(i);
-      if (item.stop) {
-        feeder.ring.PopN(i + 1);
-        feeder.parked.store(true, std::memory_order_release);
-        return;
-      }
-      port.Ingest(item.dgram, item.from_outside,
-                  sim::Time::FromNanos(item.when_ns), item.seq);
-    }
-    feeder.ring.PopN(n);
-  }
-}
-
-void MpIngest::PumpWhileWaiting() {
-  // A worker blocked publishing alerts upstream blocks its feeder's lane
-  // in turn, and a worker can also be merge-gated on idle port 0's stale
-  // frontier: keep both moving while we wait.
-  engine_.Pump();
-  const int64_t w = watermark_ns_.load(std::memory_order_relaxed);
-  if (w > heartbeat_ns_) {
-    engine_.port(0).Heartbeat(sim::Time::FromNanos(w));
-    heartbeat_ns_ = w;
-  }
-  std::this_thread::yield();
-}
-
-void MpIngest::Ingest(const net::Datagram& dgram, bool from_outside,
-                      sim::Time when) {
-  if (producers_ <= 1) {
-    engine_.Ingest(dgram, from_outside, when);
-    return;
-  }
-  if (ids::ShardedIds::CarriesClaims(dgram, sniff_)) {
-    // Inline on the dispatcher's own port: the claim lands in the
-    // ownership table before any later-sequenced packet is even handed to
-    // a feeder — the engine's claim-ordered ingest contract.
-    engine_.port(0).Ingest(dgram, from_outside, when, seq_);
-  } else {
-    Feeder& feeder = *feeders_[rr_];
-    DispatchItem* slot = feeder.ring.BeginPush();
-    while (slot == nullptr) {
-      PumpWhileWaiting();
-      slot = feeder.ring.BeginPush();
-    }
-    slot->when_ns = when.nanos();
-    slot->seq = seq_;
-    slot->from_outside = from_outside;
-    slot->stop = false;
-    slot->dgram = dgram;
-    feeder.ring.CommitPush();
-    rr_ = (rr_ + 1) % feeders_.size();
-  }
-  watermark_ns_.store(when.nanos(), std::memory_order_release);
-  ++seq_;
-  if (seq_ % kUpkeepPeriod == 0) {
-    engine_.port(0).Heartbeat(when);
-    heartbeat_ns_ = when.nanos();
-    engine_.Pump();
-  }
-}
-
-void MpIngest::Quiesce() {
-  if (finished_) return;  // feeders joined: the ports are already quiescent
-  pause_.store(true, std::memory_order_release);
-  for (auto& feeder : feeders_) {
-    while (!feeder->parked.load(std::memory_order_acquire)) {
-      PumpWhileWaiting();
-    }
-  }
-  // Every feeder parked with an empty ring: all dispatched packets are in
-  // their shard lanes and the ports are untouched until Resume(). The
-  // parked release/acquire pair carries the feeders' port state over.
-}
-
-void MpIngest::Resume() {
-  if (finished_) return;
-  pause_.store(false, std::memory_order_release);
-  // Wait for every feeder to actually wake: a feeder that stayed parked
-  // through this whole resume window (entirely possible when virtual time
-  // outruns wall time and the next Quiesce comes microseconds later) would
-  // satisfy the NEXT Quiesce()'s parked check instantly — with freshly
-  // dispatched packets still in its ring, silently breaking the
-  // quiescent-ports contract. An exited feeder stays parked forever, which
-  // is why Quiesce()/Resume() are no-ops after Finish().
-  for (auto& feeder : feeders_) {
-    while (feeder->parked.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  }
-}
-
-void MpIngest::Finish() {
-  if (finished_) return;
-  finished_ = true;
-  // Wake any parked feeders so they can reach the stop sentinel.
-  pause_.store(false, std::memory_order_release);
-  for (auto& feeder : feeders_) {
-    DispatchItem* slot = feeder->ring.BeginPush();
-    while (slot == nullptr) {
-      PumpWhileWaiting();
-      slot = feeder->ring.BeginPush();
-    }
-    slot->stop = true;
-    feeder->ring.CommitPush();
-  }
-  for (auto& feeder : feeders_) feeder->thread.join();
-}
 
 ReplayStats RunSource(PacketSource& source, ids::Vids& vids,
                       sim::Scheduler& scheduler, size_t batch_size) {
@@ -223,23 +40,8 @@ ReplayStats RunSource(PacketSource& source, ids::ShardedIds& engine,
 }
 
 ReplayStats RunSource(PacketSource& source, ids::ShardedIds& engine,
-                      int producers, size_t batch_size) {
-  MpIngest mp(engine, producers);
-  ReplayStats stats;
-  std::vector<TimedPacket> batch;
-  batch.reserve(batch_size);
-  while (source.PullBatch(batch, batch_size) > 0) {
-    ++stats.batches;
-    for (TimedPacket& packet : batch) {
-      mp.Ingest(packet.dgram, packet.from_outside, packet.when);
-      ++stats.packets;
-    }
-  }
-  mp.Finish();
-  engine.Flush(source.clock());
-  stats.end = source.clock();
-  stats.ok = source.ok();
-  return stats;
+                      int /*producers*/, size_t batch_size) {
+  return RunSource(source, engine, batch_size);
 }
 
 }  // namespace vids::capture

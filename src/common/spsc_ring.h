@@ -156,10 +156,10 @@ class SpscRing {
   /// batch. Producer thread only. May overestimate — head_cache_ refreshes
   /// lazily — which is the right bias for a high-water-mark gauge: depth is
   /// never under-reported. The stale cache is bounded here: an apparent
-  /// size above capacity refreshes head_cache_ first, so a per-lane gauge
-  /// read by a producer that never hit backpressure (the common multi-lane
-  /// ingest case — each lane sees a fraction of the traffic and rarely
-  /// fills) can no longer report a many-lap phantom depth.
+  /// size above capacity refreshes head_cache_ first, so the gauge of a
+  /// ring that never hit backpressure (one shard's ring sees a fraction of
+  /// the traffic and rarely fills) can no longer report a many-lap phantom
+  /// depth.
   size_t SizeFromProducer() {
     const size_t tail = tail_.load(std::memory_order_relaxed) + pending_;
     if (tail - head_cache_ > mask_ + 1) {

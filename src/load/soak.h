@@ -88,13 +88,6 @@ struct SoakConfig {
   int shards = 0;
   /// Per-ring slot count for the sharded engine (ignored when shards == 0).
   size_t ring_capacity = 1024;
-  /// Ingest producers for the sharded engine (ignored when shards == 0).
-  /// 1 feeds the engine inline as before; N >= 2 routes the workload
-  /// through a capture::MpIngest fan-out — the generator thread ingests
-  /// claim-carrying SIP on port 0 and round-robins the rest to N-1 feeder
-  /// threads. Samples quiesce the feeders first, so the alert stream and
-  /// every sampled quantity stay byte-identical to producers == 1.
-  int producers = 1;
   /// Pipeline span sampling period handed to ShardedIds (ignored when
   /// shards == 0): 1-in-N ingested packets carries a latency span. The
   /// default matches ShardedConfig; 0 disables sampling so the soak can

@@ -177,42 +177,24 @@ std::string PromName(std::string_view name) {
 }
 
 /// Splits a merged-snapshot name into its Prometheus family name and label
-/// set: "shard.3.lat.e2e" → family "lat_e2e", labels `shard="3"`; the
-/// per-ingest-lane form "shard.3.lane.1.ring.depth_hwm" → family
-/// "ring_depth_hwm", labels `shard="3",lane="1"`. Names without the shard
-/// prefix (including "sharded.*") pass through unlabeled.
+/// set: "shard.3.lat.e2e" → family "lat_e2e", labels `shard="3"`. Names
+/// without the `shard.<digits>.` prefix (including "sharded.*") pass
+/// through unlabeled.
 struct PromSeries {
   std::string name;
   std::string labels;  // without braces; empty = no labels
 };
 PromSeries PromSplit(std::string_view name) {
-  // Matches `prefix<digits>.` at the front of `rest`; on success returns the
-  // digit run and advances `rest` past the trailing dot.
-  const auto eat_indexed = [](std::string_view& rest, std::string_view prefix,
-                              std::string_view& digits) {
-    if (rest.substr(0, prefix.size()) != prefix) return false;
-    size_t digits_end = prefix.size();
-    while (digits_end < rest.size() && rest[digits_end] >= '0' &&
-           rest[digits_end] <= '9') {
-      ++digits_end;
+  constexpr std::string_view kPrefix = "shard.";
+  if (name.substr(0, kPrefix.size()) == kPrefix) {
+    size_t end = kPrefix.size();
+    while (end < name.size() && name[end] >= '0' && name[end] <= '9') ++end;
+    if (end > kPrefix.size() && end + 1 < name.size() && name[end] == '.') {
+      const std::string_view digits =
+          name.substr(kPrefix.size(), end - kPrefix.size());
+      return {PromName(name.substr(end + 1)),
+              "shard=\"" + std::string(digits) + "\""};
     }
-    if (digits_end == prefix.size() || digits_end + 1 >= rest.size() ||
-        rest[digits_end] != '.') {
-      return false;
-    }
-    digits = rest.substr(prefix.size(), digits_end - prefix.size());
-    rest = rest.substr(digits_end + 1);
-    return true;
-  };
-  std::string_view rest = name;
-  std::string_view shard_digits;
-  if (eat_indexed(rest, "shard.", shard_digits)) {
-    std::string labels = "shard=\"" + std::string(shard_digits) + "\"";
-    std::string_view lane_digits;
-    if (eat_indexed(rest, "lane.", lane_digits)) {
-      labels += ",lane=\"" + std::string(lane_digits) + "\"";
-    }
-    return {PromName(rest), labels};
   }
   return {PromName(name), ""};
 }

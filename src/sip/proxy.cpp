@@ -88,7 +88,10 @@ void Proxy::OnRegister(ServerTransaction& tx) {
       // No credentials yet: challenge (§22.2).
       DigestChallenge challenge;
       challenge.realm = config_.domain;
-      challenge.nonce = "n" + std::to_string(next_nonce_++);
+      // Built by fill + append: GCC 12 flags both `"n" + std::to_string()`
+      // and a C-string assign (one memcpy path) with a false -Wrestrict.
+      challenge.nonce.assign(1, 'n');
+      challenge.nonce += std::to_string(next_nonce_++);
       issued_nonces_[aor] = challenge.nonce;
       ++auth_challenges_sent_;
       Message reject = tx.MakeResponse(401);

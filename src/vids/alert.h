@@ -41,12 +41,6 @@ std::string_view AlertKindName(AlertKind kind);
 /// alert (tests and the soak harness match on it).
 inline constexpr std::string_view kEngineWorkerStall = "engine worker stall";
 
-/// Classification of the stalled-PRODUCER variant: the worker is alive but
-/// merge-blocked on an ingest lane whose producer stopped advancing its
-/// frontier (DESIGN.md §15) — a wedged producer is not a wedged worker.
-inline constexpr std::string_view kEngineProducerStall =
-    "engine producer stall";
-
 struct Alert {
   sim::Time when;
   AlertKind kind = AlertKind::kSpecDeviation;

@@ -23,7 +23,7 @@
 // the plain Vids from its own inspect path, the sharded engine's
 // coordinator Vids from the frontier-gated aggregate replay — both see the
 // same time-ordered event stream, so they emit byte-identical alerts
-// regardless of shard or producer count.
+// regardless of shard count.
 //
 // Allocation discipline: the steady-state feed path (existing profile) is
 // allocation-free — transparent string_view map probes, fixed-slot distinct

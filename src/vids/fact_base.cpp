@@ -500,6 +500,11 @@ size_t CallStateFactBase::MemoryBytes() const {
   for (const auto& [key, media] : media_index_) {
     bytes += sizeof(uint64_t) + sizeof(MediaEntry) + media.call_id.capacity();
   }
+  return bytes + PooledBytes();
+}
+
+size_t CallStateFactBase::PooledBytes() const {
+  size_t bytes = 0;
   for (const auto& group : group_pool_) bytes += group->MemoryBytes();
   return bytes;
 }

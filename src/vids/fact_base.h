@@ -175,12 +175,26 @@ class CallStateFactBase {
   uint64_t calls_created() const { return calls_created_; }
   uint64_t calls_deleted() const { return calls_deleted_; }
 
-  /// Total footprint of all tracked state — the §7.3 memory metric.
+  /// Total footprint of all tracked state — the §7.3 memory metric. Counts
+  /// the recycled-group pool too (PooledBytes()).
   size_t MemoryBytes() const;
+  /// The part of MemoryBytes() held by swept call groups parked for reuse
+  /// (at most kGroupPoolCap of them): warm capacity, not live call state.
+  size_t PooledBytes() const;
   /// Footprint of one call's group, if it exists.
   std::optional<size_t> CallMemoryBytes(const std::string& call_id) const;
 
   const DetectionConfig& config() const { return config_; }
+
+  // Recycled call groups. Every call group has the same shape (two protocol
+  // machines, two always-on scenario machines, one sync channel), and
+  // building one is the dominant cost of admitting a new call — so swept
+  // groups are reset and parked in a pool instead of destroyed, and the
+  // next call reuses one with all its buffer capacities warm. Bounded so an
+  // INVITE flood cannot convert itself into pinned pool memory; sized to
+  // absorb one sweep's reclaim batch at busy-hour call rates (hundreds of
+  // calls/s × one sweep interval), a few hundred KB worst case.
+  static constexpr size_t kGroupPoolCap = 256;
 
  private:
   // Map entries carry the intrusive links of their map's age list; `Node`
@@ -297,15 +311,7 @@ class CallStateFactBase {
   efsm::MachineDef rtp_spec_;
   AttackScenarioBase scenarios_;
 
-  // Recycled call groups. Every call group has the same shape (two protocol
-  // machines, two always-on scenario machines, one sync channel), and
-  // building one is the dominant cost of admitting a new call — so swept
-  // groups are reset and parked here instead of destroyed, and the next
-  // call reuses one with all its buffer capacities warm. Bounded so an
-  // INVITE flood cannot convert itself into pinned pool memory; sized to
-  // absorb one sweep's reclaim batch at busy-hour call rates (hundreds of
-  // calls/s × one sweep interval), a few hundred KB worst case.
-  static constexpr size_t kGroupPoolCap = 256;
+  // Recycled call groups (see kGroupPoolCap).
   std::vector<std::unique_ptr<efsm::MachineGroup>> group_pool_;
 
   StringKeyed<CallEntry> calls_;

@@ -1,290 +1,96 @@
-// Shared media-ownership routing view for multi-producer ingest.
+// Media-endpoint → owning-shard routing map of the sharded engine.
 //
-// PR 5's router kept the media-endpoint → owning-shard index in a plain
-// unordered_map, which was fine while exactly one thread routed packets.
-// With N producer threads routing concurrently (DESIGN.md §15), the index
-// becomes the one piece of routing state they must share. This table makes
-// the read path lock-free and the write path (SDP claims — rare next to
-// media packets) mutex-serialized:
-//
-//  - Open addressing over a power-of-two slot array. Every reader-visible
-//    field is an atomic: the 48-bit PackedKey, the current and previous
-//    claim (each a packed (time << 8 | shard) word), and a last-seen
-//    refresh stamp. A lookup is a probe plus two acquire loads; it takes
-//    no lock and never blocks a claim.
-//  - Two-deep claim history, looked up by the PACKET's position in the
-//    global arrival order, not by current state: OwnerAt(key, t, seq)
-//    answers "who owned this endpoint when arrival #seq happened" — the
-//    owner as of the newest claim whose own sequence number precedes seq.
-//    Because arrival timestamps are non-decreasing in seq, seq order IS
-//    (when, seq) lexicographic order, so a producer that routes a packet
-//    sequenced before a renegotiation it has already observed still routes
-//    it to the era's owner: routing is a pure function of (key, seq) and
-//    the producer count cannot change it. Packets older than both recorded
-//    eras miss (the caller hash-routes and counts a route escalation — the
-//    bounded slow path for >2 claims racing between two reads).
-//  - Each entry's claim pair is published under a per-entry seqlock
-//    (`version`, odd while a writer is mid-update), so a lock-free reader
-//    gets a CONSISTENT (cur, cur_seq, prev, prev_seq) quadruple even while
-//    a claim lands — the seq filter above is only exact if the claim word
-//    and its sequence number are read as one unit. Writers insert/update
-//    under `claim_mutex_`, publishing each entry's key last (release).
-//    Growth allocates a doubled table, rehashes under the mutex, and
-//    republishes the table pointer; retired tables are kept until
-//    destruction (geometric doubling bounds them to < one current table),
-//    so a reader mid-probe on the old table stays valid.
-//
-// Completeness of the visible claim set is the DRIVER's job, not the
-// table's (sharded_ids.h, "claim-ordered ingest contract"): every
-// claim-carrying packet must be ingested — its ApplyClaim returned —
-// before any later-sequenced packet is handed to another producer. Under
-// that contract, when a producer routes arrival #seq every claim with a
-// smaller sequence number is already in the table (claims with larger
-// sequence numbers may be too — the seq filter excludes them), and the
-// driver's dispatch handoff (release on its queue, acquire on the pop)
-// carries the happens-before edge that makes those writes visible,
-// including across a table republication.
-//
-// Prune() and the destructor require quiescent readers (the engine calls
-// Prune only inside Flush(), whose contract already demands quiescent
-// producers).
+// The router (ShardedIds::Ingest, one thread) snoops SDP on the SIP it
+// routes: an endpoint belongs to the shard of the call that negotiated it.
+// This map records that binding plus a last-seen stamp per endpoint. It is
+// owned and used by the router thread only, so it is a plain open-addressing
+// table over a power-of-two slot array: no atomics, no locks. Claims apply
+// in arrival order (the newest claim owns the endpoint), every lookup and
+// claim refreshes the entry's last-seen stamp, and Prune() drops entries
+// idle past the engine's state horizon.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace vids::ids {
 
 class MediaOwnerTable {
  public:
-  /// Up to two ownership-transition edges produced by one claim: the losing
-  /// shard must drop its endpoint counters. `early` marks the first-claim
-  /// retract aimed at the hash-fallback shard (pre-negotiation media).
+  /// Up to one ownership-transition edge per claim: the losing shard must
+  /// drop its endpoint counters. `early` marks the first-claim retract
+  /// aimed at the hash-fallback shard (media that arrived before its
+  /// negotiation was hash-routed there).
   struct RetractEdge {
     int shard = -1;
     bool early = false;
-  };
-  struct ClaimResult {
-    RetractEdge edges[2];
-    int edge_count = 0;
-    /// The claim predated both recorded eras and was dropped (bounded
-    /// history; counted by the caller as a stale claim).
-    bool dropped_stale = false;
   };
 
   explicit MediaOwnerTable(size_t capacity = 1024) {
     size_t cap = 16;
     while (cap < capacity) cap <<= 1;
-    table_.store(NewTable(cap), std::memory_order_release);
+    slots_.resize(cap);
   }
 
-  MediaOwnerTable(const MediaOwnerTable&) = delete;
-  MediaOwnerTable& operator=(const MediaOwnerTable&) = delete;
-
-  /// Lock-free reader: the shard owning `key` as of global arrival #`seq`
-  /// (the newest claim sequenced strictly before it), or -1 when unknown.
-  /// `t_ns` is the packet's time, used only to refresh the entry's idle
-  /// stamp. `pre_history` is set when an entry exists but both recorded
-  /// claims postdate `seq` (caller hash-routes and counts it).
-  int OwnerAt(uint64_t key, int64_t t_ns, uint64_t seq,
-              bool& pre_history) const {
-    pre_history = false;
-    Table* tab = table_.load(std::memory_order_acquire);
-    size_t idx = Mix(key) & tab->mask;
-    for (;;) {
-      Entry& e = tab->slots[idx];
-      const uint64_t k = e.key.load(std::memory_order_acquire);
-      if (k == 0) return -1;
-      if (k == key) {
-        // Seqlock read of the claim quadruple: retry while a writer is
-        // mid-update (odd version) or updated underneath us. Claims are
-        // rare next to media packets, so the retry is all but never taken.
-        // Fence-free formulation (atomic_thread_fence is rejected under
-        // -fsanitize=thread): the field loads are acquire, so any load
-        // that observes a writer's release field store also sees the
-        // writer's preceding odd version — the re-check below can never
-        // validate a torn read. The acquire loads also pin the re-check
-        // after every field load in program order.
-        uint64_t cur, cur_seq, prev, prev_seq;
-        for (;;) {
-          const uint32_t v1 = e.version.load(std::memory_order_acquire);
-          if ((v1 & 1U) == 0) {
-            cur = e.cur.load(std::memory_order_acquire);
-            cur_seq = e.cur_seq.load(std::memory_order_acquire);
-            prev = e.prev.load(std::memory_order_acquire);
-            prev_seq = e.prev_seq.load(std::memory_order_acquire);
-            if (e.version.load(std::memory_order_relaxed) == v1) break;
-          }
-        }
-        if (cur == 0) return -1;
-        if (cur_seq < seq) {
-          e.last_seen.store(t_ns, std::memory_order_relaxed);
-          return UnpackShard(cur);
-        }
-        if (prev != 0 && prev_seq < seq) {
-          e.last_seen.store(t_ns, std::memory_order_relaxed);
-          return UnpackShard(prev);
-        }
-        pre_history = true;
-        return -1;
-      }
-      idx = (idx + 1) & tab->mask;
-    }
+  /// The shard owning `key`, or -1 when no call negotiated it. A hit
+  /// refreshes the entry's idle stamp to `t_ns`.
+  int Owner(uint64_t key, int64_t t_ns) {
+    Entry& e = FindSlot(slots_, key);
+    if (e.key == 0) return -1;
+    e.last_seen = t_ns;
+    return e.shard;
   }
 
-  /// Serialized writer: endpoint `key` is claimed by `shard` at logical
-  /// time (`t_ns`, `seq`) — the global claim order is last-writer-wins by
-  /// that pair, so every producer applying the same claim set converges on
-  /// the same history regardless of arrival interleaving. Returns the
-  /// ownership-transition edges this claim creates; the caller pushes the
-  /// matching kRetractMedia messages on its own lanes.
-  ClaimResult ApplyClaim(uint64_t key, int shard, int64_t t_ns, uint64_t seq,
-                         int hash_shard) {
-    ClaimResult r;
-    std::lock_guard<std::mutex> lock(claim_mutex_);
-    Table* tab = table_.load(std::memory_order_relaxed);
-    if ((size_ + 1) * 4 > (tab->mask + 1) * 3) tab = Grow(tab);
-    Entry& e = FindSlot(*tab, key);
-    if (e.key.load(std::memory_order_relaxed) == 0) {
-      // First claim for this endpoint's key: publish the claim before the
-      // key so a racing reader that finds the key sees a complete entry
-      // (the entry is unreachable until the key lands, so no seqlock
-      // bracket is needed here).
-      e.cur.store(Pack(t_ns, shard), std::memory_order_relaxed);
-      e.cur_seq.store(seq, std::memory_order_relaxed);
-      e.last_seen.store(t_ns, std::memory_order_relaxed);
-      e.key.store(key, std::memory_order_release);
+  /// Endpoint `key` is claimed by `shard` at `t_ns`. Returns the edge this
+  /// claim creates, if any (shard == -1 when none): the previous owner of a
+  /// renegotiated endpoint, or `hash_shard` on the first claim.
+  RetractEdge Claim(uint64_t key, int shard, int64_t t_ns, int hash_shard) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) Rehash(slots_.size() * 2);
+    Entry& e = FindSlot(slots_, key);
+    RetractEdge edge;
+    if (e.key == 0) {
+      e.key = key;
+      e.last_seen = t_ns;
       ++size_;
-      if (hash_shard != shard) r.edges[r.edge_count++] = {hash_shard, true};
-      return r;
+      if (hash_shard != shard) edge = {hash_shard, true};
+    } else {
+      if (e.shard != shard) edge = {e.shard, false};
+      if (t_ns > e.last_seen) e.last_seen = t_ns;
     }
-    const uint64_t cur = e.cur.load(std::memory_order_relaxed);
-    const int64_t ct = UnpackTime(cur);
-    const int cs = UnpackShard(cur);
-    const uint64_t cseq = e.cur_seq.load(std::memory_order_relaxed);
-    if (t_ns > ct || (t_ns == ct && seq > cseq)) {
-      // In-order claim: the current era ends at (t_ns, seq).
-      WriteLocked(e, [&] {  // release stores: see the WriteLocked contract
-        e.prev.store(cur, std::memory_order_release);
-        e.prev_seq.store(cseq, std::memory_order_release);
-        e.cur.store(Pack(t_ns, shard), std::memory_order_release);
-        e.cur_seq.store(seq, std::memory_order_release);
-      });
-      if (t_ns > e.last_seen.load(std::memory_order_relaxed)) {
-        e.last_seen.store(t_ns, std::memory_order_relaxed);
-      }
-      if (cs != shard) r.edges[r.edge_count++] = {cs, false};
-      return r;
-    }
-    if (t_ns == ct && seq == cseq) return r;  // duplicate apply
-    // Stale claim: another producer already applied a newer one. Slot this
-    // era in as `prev` so seq-keyed lookups stay exact, and emit BOTH of
-    // its edges — the entry edge (whoever owned before t_ns loses) and the
-    // exit edge (this era's owner loses at ct, which the newer claim's
-    // applier could not have emitted because it never saw this era).
-    const uint64_t prev = e.prev.load(std::memory_order_relaxed);
-    if (prev == 0) {
-      WriteLocked(e, [&] {
-        e.prev.store(Pack(t_ns, shard), std::memory_order_release);
-        e.prev_seq.store(seq, std::memory_order_release);
-      });
-      if (hash_shard != shard) r.edges[r.edge_count++] = {hash_shard, true};
-      if (shard != cs) r.edges[r.edge_count++] = {shard, false};
-      return r;
-    }
-    const int64_t pt = UnpackTime(prev);
-    const int ps = UnpackShard(prev);
-    if (t_ns > pt || (t_ns == pt && shard == ps)) {
-      WriteLocked(e, [&] {
-        e.prev.store(Pack(t_ns, shard), std::memory_order_release);
-        e.prev_seq.store(seq, std::memory_order_release);
-      });
-      if (ps != shard) r.edges[r.edge_count++] = {ps, false};
-      if (shard != cs) r.edges[r.edge_count++] = {shard, false};
-      return r;
-    }
-    r.dropped_stale = true;  // older than both recorded eras
-    return r;
+    e.shard = shard;
+    return edge;
   }
 
   /// Drops entries idle past `horizon_ns` (no lookup or claim refreshed
-  /// them) by rebuilding the live set into a fresh table. Requires
-  /// quiescent readers — called from the engine's Flush() barrier only.
+  /// them since `now_ns - horizon_ns`).
   void Prune(int64_t now_ns, int64_t horizon_ns) {
-    std::lock_guard<std::mutex> lock(claim_mutex_);
-    Table* tab = table_.load(std::memory_order_relaxed);
     size_t live = 0;
-    for (size_t i = 0; i <= tab->mask; ++i) {
-      const Entry& e = tab->slots[i];
-      if (e.key.load(std::memory_order_relaxed) != 0 &&
-          now_ns - e.last_seen.load(std::memory_order_relaxed) <= horizon_ns) {
-        ++live;
-      }
+    for (const Entry& e : slots_) {
+      if (e.key != 0 && now_ns - e.last_seen <= horizon_ns) ++live;
     }
     size_t cap = 16;
     while (cap * 3 < live * 4) cap <<= 1;
-    Table* fresh = NewTable(cap);
-    for (size_t i = 0; i <= tab->mask; ++i) {
-      Entry& e = tab->slots[i];
-      const uint64_t k = e.key.load(std::memory_order_relaxed);
-      if (k == 0 ||
-          now_ns - e.last_seen.load(std::memory_order_relaxed) > horizon_ns) {
-        continue;
+    std::vector<Entry> fresh(cap);
+    for (const Entry& e : slots_) {
+      if (e.key != 0 && now_ns - e.last_seen <= horizon_ns) {
+        FindSlot(fresh, e.key) = e;
       }
-      CopyEntry(e, FindSlot(*fresh, k), k);
     }
+    slots_.swap(fresh);
     size_ = live;
-    table_.store(fresh, std::memory_order_release);
   }
 
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(claim_mutex_);
-    return size_;
-  }
+  size_t size() const { return size_; }
 
-  size_t MemoryBytes() const {
-    std::lock_guard<std::mutex> lock(claim_mutex_);
-    size_t bytes = sizeof(*this);
-    for (const auto& t : all_tables_) {
-      bytes += (t->mask + 1) * sizeof(Entry) + sizeof(Table);
-    }
-    return bytes;
-  }
+  /// Heap bytes of the slot array.
+  size_t MemoryBytes() const { return slots_.capacity() * sizeof(Entry); }
 
  private:
   struct Entry {
-    std::atomic<uint64_t> key{0};  // 0 = empty (PackedKey 0 is unroutable)
-    /// Packed claims: ((t_ns << 8) | shard) + 1; 0 = none. 55 bits of
-    /// nanoseconds (~417 days of stream time) and 8 bits of shard index —
-    /// ShardedConfig clamps shards accordingly. The *_seq fields carry each
-    /// claim's global arrival number; the quadruple is read under the
-    /// per-entry seqlock below.
-    std::atomic<uint64_t> cur{0};
-    std::atomic<uint64_t> cur_seq{0};
-    std::atomic<uint64_t> prev{0};
-    std::atomic<uint64_t> prev_seq{0};
-    std::atomic<int64_t> last_seen{0};
-    /// Per-entry seqlock: odd while a writer is mid-update.
-    std::atomic<uint32_t> version{0};
+    uint64_t key = 0;  // 0 = empty (PackedKey 0 is unroutable)
+    int64_t last_seen = 0;
+    int shard = -1;
   };
-  struct Table {
-    explicit Table(size_t cap) : slots(cap), mask(cap - 1) {}
-    std::vector<Entry> slots;
-    size_t mask;
-  };
-
-  static uint64_t Pack(int64_t t_ns, int shard) {
-    return ((static_cast<uint64_t>(t_ns) << 8) |
-            static_cast<uint64_t>(shard)) +
-           1;
-  }
-  static int64_t UnpackTime(uint64_t v) {
-    return static_cast<int64_t>((v - 1) >> 8);
-  }
-  static int UnpackShard(uint64_t v) { return static_cast<int>((v - 1) & 0xff); }
 
   static uint64_t Mix(uint64_t x) {
     x += 0x9e3779b97f4a7c15ULL;
@@ -293,68 +99,27 @@ class MediaOwnerTable {
     return x ^ (x >> 31);
   }
 
-  Table* NewTable(size_t cap) {
-    all_tables_.push_back(std::make_unique<Table>(cap));
-    return all_tables_.back().get();
-  }
-
-  /// Probe for `key`'s slot (or the empty slot where it belongs). Writer
-  /// side only (mutex held); the load factor cap guarantees termination.
-  static Entry& FindSlot(Table& tab, uint64_t key) {
-    size_t idx = Mix(key) & tab.mask;
+  /// Probe for `key`'s slot (or the empty slot where it belongs); the load
+  /// factor cap guarantees an empty slot, hence termination.
+  static Entry& FindSlot(std::vector<Entry>& slots, uint64_t key) {
+    const size_t mask = slots.size() - 1;
+    size_t idx = Mix(key) & mask;
     for (;;) {
-      Entry& e = tab.slots[idx];
-      const uint64_t k = e.key.load(std::memory_order_relaxed);
-      if (k == 0 || k == key) return e;
-      idx = (idx + 1) & tab.mask;
+      Entry& e = slots[idx];
+      if (e.key == 0 || e.key == key) return e;
+      idx = (idx + 1) & mask;
     }
   }
 
-  /// Seqlock writer bracket: version goes odd, the fields land, version
-  /// goes even. Fence-free (atomic_thread_fence is rejected under
-  /// -fsanitize=thread): `fn` must store every field with RELEASE — each
-  /// such store orders the odd version store before itself, so a reader
-  /// observing any new field also observes the odd version and retries —
-  /// and the final release store orders the fields before the even
-  /// version. Callers hold claim_mutex_, so versions never contend
-  /// between writers.
-  template <typename Fn>
-  static void WriteLocked(Entry& e, Fn&& fn) {
-    const uint32_t v = e.version.load(std::memory_order_relaxed);
-    e.version.store(v + 1, std::memory_order_relaxed);
-    fn();
-    e.version.store(v + 2, std::memory_order_release);
-  }
-
-  static void CopyEntry(Entry& from, Entry& to, uint64_t key) {
-    // `to` lives in a not-yet-published table — plain releases suffice.
-    to.cur.store(from.cur.load(std::memory_order_relaxed),
-                 std::memory_order_release);
-    to.cur_seq.store(from.cur_seq.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    to.prev.store(from.prev.load(std::memory_order_relaxed),
-                  std::memory_order_release);
-    to.prev_seq.store(from.prev_seq.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    to.last_seen.store(from.last_seen.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    to.key.store(key, std::memory_order_release);
-  }
-
-  Table* Grow(Table* old) {
-    Table* fresh = NewTable((old->mask + 1) * 2);
-    for (size_t i = 0; i <= old->mask; ++i) {
-      Entry& e = old->slots[i];
-      const uint64_t k = e.key.load(std::memory_order_relaxed);
-      if (k != 0) CopyEntry(e, FindSlot(*fresh, k), k);
+  void Rehash(size_t cap) {
+    std::vector<Entry> fresh(cap);
+    for (const Entry& e : slots_) {
+      if (e.key != 0) FindSlot(fresh, e.key) = e;
     }
-    table_.store(fresh, std::memory_order_release);
-    return fresh;
+    slots_.swap(fresh);
   }
 
-  mutable std::mutex claim_mutex_;
-  std::atomic<Table*> table_{nullptr};
-  std::vector<std::unique_ptr<Table>> all_tables_;  // current + retired
+  std::vector<Entry> slots_;
   size_t size_ = 0;
 };
 

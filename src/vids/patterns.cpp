@@ -1,5 +1,7 @@
 #include "vids/patterns.h"
 
+#include <variant>
+
 #include "rtp/packet.h"
 #include "vids/classifier.h"
 
@@ -171,9 +173,12 @@ MachineDef BuildMediaSpamMachine(const DetectionConfig& config) {
     if (!SameSsrc(c)) return false;
     const int64_t sgap = SeqGap(c);
     if (sgap > seq_gap) return true;
-    const bool marker = c.event().Arg(argkey::kMarker) == efsm::Value{true};
+    // get_if, not `== efsm::Value{true}`: the temporary variant's string
+    // alternative trips GCC 12's -Wmaybe-uninitialized at -O2 and above.
+    const bool* marker = std::get_if<bool>(&c.event().Arg(argkey::kMarker));
+    const bool marked = marker != nullptr && *marker;
     const bool lost_marker_window = sgap >= 2 && sgap <= 3;
-    return !marker && !lost_marker_window && TsGap(c) > ts_gap;
+    return !marked && !lost_marker_window && TsGap(c) > ts_gap;
   };
   // The genuine stream trailing an injected clone shows up as persistent
   // sequence regression (replays of numbers the clone already used).

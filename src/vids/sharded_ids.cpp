@@ -49,76 +49,34 @@ void AssignAlert(Alert& dst, const Alert& src) {
   }
 }
 
-int64_t MinOf(const std::vector<int64_t>& values) {
-  int64_t m = INT64_MAX;
-  for (const int64_t v : values) m = std::min(m, v);
-  return m;
-}
-
 }  // namespace
-
-// ------------------------------------------------------------ ingest port
-
-ShardedIds::IngestPort::IngestPort(ShardedIds& engine, int index)
-    : engine_(engine),
-      index_(index),
-      lane_open_ns_(static_cast<size_t>(engine.config_.shards), INT64_MAX),
-      lane_hwm_(static_cast<size_t>(engine.config_.shards), 0),
-      lane_stalls_(static_cast<size_t>(engine.config_.shards), 0),
-      m_stalls_(&metrics_.GetCounter("sharded.ingest_stalls")),
-      m_sip_routed_(&metrics_.GetCounter("sharded.sip_routed")),
-      m_owner_routed_(&metrics_.GetCounter("sharded.endpoint_owner_routed")),
-      m_hash_routed_(&metrics_.GetCounter("sharded.endpoint_hash_routed")),
-      m_early_retracts_(
-          &metrics_.GetCounter("sharded.early_media_retracts")),
-      m_retracts_(&metrics_.GetCounter("sharded.ownership_transfers")),
-      m_route_escalations_(
-          &metrics_.GetCounter("sharded.route_escalations")),
-      m_stale_claims_(
-          &metrics_.GetCounter("sharded.stale_claims_dropped")),
-      m_flush_full_(&metrics_.GetCounter("pipeline.flush.full")),
-      m_flush_deadline_(&metrics_.GetCounter("pipeline.flush.deadline")),
-      m_flush_barrier_(&metrics_.GetCounter("pipeline.flush.barrier")),
-      m_batch_committed_(&metrics_.GetHistogram("pipeline.batch.committed")) {}
-
-void ShardedIds::IngestPort::Ingest(const net::Datagram& dgram,
-                                    bool from_outside, sim::Time when,
-                                    uint64_t seq) {
-  engine_.IngestOn(*this, dgram, from_outside, when, seq);
-}
-
-void ShardedIds::IngestPort::Ingest(const net::Datagram& dgram,
-                                    bool from_outside, sim::Time when) {
-  engine_.IngestOn(*this, dgram, from_outside, when, auto_seq_++);
-}
-
-void ShardedIds::IngestPort::Heartbeat(sim::Time when) {
-  engine_.PortHeartbeat(*this, when);
-}
-
-void ShardedIds::IngestPort::Close() { engine_.PortClose(*this); }
 
 // ------------------------------------------------------------ construction
 
 ShardedIds::ShardedIds(ShardedConfig config)
     : config_(config),
       coord_vids_(coord_scheduler_, config_.detection, config_.cost),
+      m_stalls_(&coord_metrics_.GetCounter("sharded.ingest_stalls")),
+      m_sip_routed_(&coord_metrics_.GetCounter("sharded.sip_routed")),
+      m_owner_routed_(
+          &coord_metrics_.GetCounter("sharded.endpoint_owner_routed")),
+      m_hash_routed_(
+          &coord_metrics_.GetCounter("sharded.endpoint_hash_routed")),
+      m_early_retracts_(
+          &coord_metrics_.GetCounter("sharded.early_media_retracts")),
+      m_retracts_(&coord_metrics_.GetCounter("sharded.ownership_transfers")),
       m_agg_events_(&coord_metrics_.GetCounter("sharded.agg_events")),
       m_flushes_(&coord_metrics_.GetCounter("sharded.flushes")),
       m_watchdog_stalls_(
           &coord_metrics_.GetCounter("sharded.watchdog_stalls")),
-      m_watchdog_producer_stalls_(
-          &coord_metrics_.GetCounter("sharded.watchdog_producer_stalls")),
       m_flush_full_(&coord_metrics_.GetCounter("pipeline.flush.full")),
+      m_flush_deadline_(
+          &coord_metrics_.GetCounter("pipeline.flush.deadline")),
       m_flush_barrier_(&coord_metrics_.GetCounter("pipeline.flush.barrier")),
       m_batch_committed_(
           &coord_metrics_.GetHistogram("pipeline.batch.committed")) {
-  // The ownership table packs the shard index into 8 bits.
   config_.shards = std::clamp(config_.shards, 1, 255);
-  config_.producers = std::max(1, config_.producers);
-  config_.batch_max = std::max<size_t>(1, config_.batch_max);
   const int n = config_.shards;
-  owner_table_ = std::make_unique<MediaOwnerTable>(1024);
   if (config_.trace_sample_period > 0) {
     uint32_t period = 1;
     while (period < config_.trace_sample_period) period <<= 1;
@@ -142,8 +100,7 @@ ShardedIds::ShardedIds(ShardedConfig config)
   pending_.resize(static_cast<size_t>(n));
   shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    auto shard =
-        std::make_unique<Shard>(config_.producers, config_.ring_capacity);
+    auto shard = std::make_unique<Shard>(config_.ring_capacity);
     shard->index = i;
     shard->scheduler = std::make_unique<sim::Scheduler>();
     shard->vids = std::make_unique<Vids>(*shard->scheduler, config_.detection,
@@ -188,15 +145,6 @@ ShardedIds::ShardedIds(ShardedConfig config)
         });
     shards_.push_back(std::move(shard));
   }
-  // Ports before workers: the merge gate reads ports_[p]->frontier_.
-  ports_.reserve(static_cast<size_t>(config_.producers));
-  for (int p = 0; p < config_.producers; ++p) {
-    ports_.push_back(
-        std::unique_ptr<IngestPort>(new IngestPort(*this, p)));
-  }
-  // Single-producer engines keep the PR 5 contract: port 0 runs on the
-  // coordinator thread, so its backpressure wait may (must) drain upstream.
-  ports_[0]->inline_drain_ = config_.producers == 1;
   for (auto& shard : shards_) {
     Shard* sp = shard.get();
     sp->thread = std::thread([this, sp] { WorkerLoop(*sp); });
@@ -213,9 +161,9 @@ void ShardedIds::PushUp(Shard& shard, Fill&& fill) {
   if (slot == nullptr) {
     // Publish whatever the open batch holds — the coordinator can only
     // free slots it can see — then wait for room. The coordinator drains
-    // up-rings whenever it waits on a full control lane and while it waits
+    // up-rings whenever it waits on a full ingest ring and while it waits
     // in Flush()/Stop(), so this cannot deadlock against a blocked
-    // producer. It can still be a long wait if the driver thread goes
+    // Ingest. It can still be a long wait if the driver thread goes
     // quiet between Ingest/Pump calls — back off to a short sleep instead
     // of spinning.
     shard.up.CommitPushN();
@@ -254,221 +202,118 @@ void ShardedIds::RecordSpan(Shard& shard, int64_t t0, int64_t t_dequeue) {
   shard.spans.Record(rec);
 }
 
-bool ShardedIds::LanesQuiescent(Shard& shard, int64_t barrier_ns) {
-  for (size_t p = 0; p < shard.lanes.size(); ++p) {
-    // Frontier first (acquire), then the emptiness re-check: everything
-    // the frontier vouches for was committed before its release store, so
-    // "frontier past the barrier AND lane empty" proves nothing at or
-    // before the barrier is still in flight on this lane.
-    if (ports_[p]->frontier_.load(std::memory_order_acquire) < barrier_ns) {
-      return false;
-    }
-    if (shard.lanes[p]->ring.FrontN(1) != 0) return false;
+void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
+                               net::Datagram& scratch) {
+  // Sampled span: note the dequeue time and post the enqueue time where
+  // the alert callback can see it. Unsampled packets (and the
+  // sampling-off configuration) take one never-true branch.
+  const int64_t span_t0 = msg.span_enqueue_ns;
+  int64_t span_dequeue = 0;
+  if (span_t0 != 0) {
+    span_dequeue = obs::MonotonicNanos();
+    shard.span_open_enqueue_ns = span_t0;
   }
-  return true;
-}
-
-void ShardedIds::ProcessLaneMsg(Shard& shard, Lane& lane, size_t at,
-                                ShardMsg& msg, net::Datagram& scratch,
-                                int64_t& watermark) {
-  const sim::Time when = sim::Time::FromNanos(msg.when_ns);
-  if (msg.kind == ShardMsg::Kind::kPacket) {
-    // Sampled span: note the dequeue time and post the enqueue time where
-    // the alert callback can see it. Unsampled packets (and the
-    // sampling-off configuration) take one never-true branch.
-    const int64_t span_t0 = msg.span_enqueue_ns;
-    int64_t span_dequeue = 0;
-    if (span_t0 != 0) {
-      span_dequeue = obs::MonotonicNanos();
-      shard.span_open_enqueue_ns = span_t0;
-    }
-    scratch.src = msg.dgram.src;
-    scratch.dst = msg.dgram.dst;
-    scratch.kind = msg.dgram.kind;
-    scratch.padding_bytes = msg.dgram.padding_bytes;
-    scratch.sent_time = msg.dgram.sent_time;
-    scratch.id = msg.dgram.id;
-    if (msg.in_arena) {
-      // The payload bytes live in the lane's arena slot (same index as the
-      // ring slot) — one contiguous slab the producer memcpy'd into.
-      scratch.payload.assign(lane.arena.Slot(lane.ring.ConsumerIndex(at)),
-                             msg.arena_len);
-    } else {
-      // Oversized payload took the slot-string path. Swap, don't copy: the
-      // slot inherits the scratch's warm buffer for the producer's next
-      // assign.
-      scratch.payload.swap(msg.dgram.payload);
-    }
-    // Advance this shard's private clock so detection timers (flood
-    // windows, RTCP grace, sweeps) fire exactly as in the single engine:
-    // all events <= `when` run before the packet is inspected, matching
-    // the scheduler's timer-before-same-time-packet order.
-    AdvanceShardClock(shard, when);
-    shard.vids->Inspect(scratch, msg.from_outside);
-    if (span_t0 != 0) {
-      RecordSpan(shard, span_t0, span_dequeue);
-      shard.span_open_enqueue_ns = 0;
-    }
-    watermark = std::max(watermark, msg.when_ns);
-  } else {  // kRetractMedia
-    AdvanceShardClock(shard, when);
-    // This shard lost ownership of the endpoint: drop both the media index
-    // binding and the per-endpoint keyed counters, so exactly one shard
-    // counts the stream from the claim onward. Retracting an endpoint this
-    // shard never bound is a no-op, which is what makes the stale-claim
-    // double edges of MediaOwnerTable::ApplyClaim idempotent.
-    shard.vids->fact_base().RetractMedia(msg.endpoint);
-    shard.vids->fact_base().DropMediaKeyedGroup(msg.endpoint);
-    watermark = std::max(watermark, msg.when_ns);
+  scratch.src = msg.dgram.src;
+  scratch.dst = msg.dgram.dst;
+  scratch.kind = msg.dgram.kind;
+  scratch.padding_bytes = msg.dgram.padding_bytes;
+  scratch.sent_time = msg.dgram.sent_time;
+  scratch.id = msg.dgram.id;
+  if (msg.in_arena) {
+    // The payload bytes live in the arena slot (same index as the ring
+    // slot) — one contiguous slab Ingest memcpy'd into.
+    scratch.payload.assign(shard.arena.Slot(shard.ring.ConsumerIndex(at)),
+                           msg.arena_len);
+  } else {
+    // Oversized payload took the slot-string path. Swap, don't copy: the
+    // slot inherits the scratch's warm buffer for the next assign.
+    scratch.payload.swap(msg.dgram.payload);
+  }
+  // Advance this shard's private clock so detection timers (flood
+  // windows, RTCP grace, sweeps) fire exactly as in the single engine:
+  // all events <= `when` run before the packet is inspected, matching
+  // the scheduler's timer-before-same-time-packet order.
+  AdvanceShardClock(shard, sim::Time::FromNanos(msg.when_ns));
+  shard.vids->Inspect(scratch, msg.from_outside);
+  if (span_t0 != 0) {
+    RecordSpan(shard, span_t0, span_dequeue);
+    shard.span_open_enqueue_ns = 0;
   }
 }
 
 void ShardedIds::WorkerLoop(Shard& shard) {
   net::Datagram scratch;
   common::SpinBackoff backoff;
-  const size_t batch_max = config_.batch_max;
   // Heartbeats only exist for the watchdog; the disabled configuration
-  // (BM_ShardedIngest's pinned hot path) never reads the wall clock here.
+  // never reads the wall clock here.
   const bool heartbeat = watchdog_threshold_ns_ > 0;
-  const size_t lanes_n = shard.lanes.size();
-  std::vector<size_t> avail(lanes_n, 0);
-  std::vector<size_t> taken(lanes_n, 0);
   int64_t watermark = 0;
   bool stopping = false;
   while (!stopping) {
-    bool progress = false;
-    int stall_lane = -1;
-
-    // ---- control lane: barriers, test wedges ----
-    while (ShardMsg* ctl = shard.down.Front()) {
-      if (ctl->kind == ShardMsg::Kind::kWedge) {
-        // Deliberate stall (tests): sleep before retiring the message. The
-        // control lane stays non-empty and the heartbeat store below is
-        // not reached — exactly the state the watchdog must detect, with
-        // waiting_on_lane still -1 (a wedged WORKER, not a producer).
-        while (shard.wedged.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        shard.down.Pop();
-        progress = true;
-        continue;
-      }
-      // kFlush / kStop: barriers logically ORDERED AFTER every ingest-lane
-      // message — honor them only once every lane is drained and every
-      // producer frontier has passed the barrier (Flush()/Stop() force the
-      // frontiers forward under the quiescent-ports contract).
-      const int64_t barrier =
-          ctl->kind == ShardMsg::Kind::kFlush ? ctl->when_ns : INT64_MAX;
-      if (!LanesQuiescent(shard, barrier)) break;
-      if (ctl->kind == ShardMsg::Kind::kFlush) {
-        AdvanceShardClock(shard, sim::Time::FromNanos(ctl->when_ns));
-        PushUp(shard, [&](UpMsg& up) {
-          up.kind = UpMsg::Kind::kFlushAck;
-          up.token = ctl->token;
-        });
-        watermark = std::max(watermark, ctl->when_ns);
-        shard.down.Pop();
-        progress = true;
-        continue;
-      }
-      stopping = true;
-      shard.down.Pop();
-      progress = true;
-      break;
-    }
-
-    // ---- ingest lanes: (when, seq)-ordered merge across producers ----
-    size_t consumed = 0;
-    if (!stopping) {
-      for (size_t p = 0; p < lanes_n; ++p) {
-        avail[p] = shard.lanes[p]->ring.FrontN(batch_max);
-        taken[p] = 0;
-      }
-      while (consumed < batch_max) {
-        // Minimal (when, seq) over the lanes' unconsumed fronts. seq is a
-        // global arrival number, so this reproduces the single-producer
-        // delivery order exactly.
-        size_t best = lanes_n;
-        int64_t best_when = 0;
-        uint64_t best_seq = 0;
-        for (size_t p = 0; p < lanes_n; ++p) {
-          if (taken[p] >= avail[p]) continue;
-          const ShardMsg& m = shard.lanes[p]->ring.At(taken[p]);
-          if (best == lanes_n || m.when_ns < best_when ||
-              (m.when_ns == best_when && m.seq < best_seq)) {
-            best = p;
-            best_when = m.when_ns;
-            best_seq = m.seq;
-          }
-        }
-        if (best == lanes_n) break;  // every lane visibly empty
-        // A visibly-empty lane may still hold an earlier message: avail[]
-        // is a batch-start snapshot, and the frontier's promise covers
-        // only FUTURE pushes (strictly later than f) — never commits that
-        // landed since the snapshot. So for every exhausted lane, load
-        // the frontier first (acquire — every commit it vouches for is
-        // visible after this), then ALWAYS re-read the ring. New arrivals
-        // re-enter the pick; only a fresh empty verdict makes the vouch
-        // sound, and a fresh-empty lane whose frontier is still short of
-        // the candidate gates the merge.
-        bool gated = false;
-        bool refreshed = false;
-        for (size_t p = 0; p < lanes_n; ++p) {
-          if (taken[p] < avail[p]) continue;
-          const int64_t f =
-              ports_[p]->frontier_.load(std::memory_order_acquire);
-          const size_t now_avail = shard.lanes[p]->ring.FrontN(batch_max);
-          if (now_avail > taken[p]) {
-            avail[p] = now_avail;
-            refreshed = true;
-          } else if (best_when > f) {
-            stall_lane = static_cast<int>(p);
-            gated = true;
-            break;
-          }
-        }
-        if (gated) break;
-        if (refreshed) continue;  // re-pick including the new arrivals
-        Lane& lane = *shard.lanes[best];
-        ProcessLaneMsg(shard, lane, taken[best], lane.ring.At(taken[best]),
-                       scratch, watermark);
-        ++taken[best];
-        ++consumed;
-      }
-      for (size_t p = 0; p < lanes_n; ++p) {
-        if (taken[p] != 0) shard.lanes[p]->ring.PopN(taken[p]);
-      }
-    }
-
-    if (consumed != 0 || progress) {
-      // Worker-owned plain metric fields must be written before the commit
-      // below: the coordinator reads `shard.pipeline` after acquiring the
-      // flush ack published by this very batch.
-      if (consumed != 0) {
-        shard.batch_consumed->Record(static_cast<int64_t>(consumed));
-      }
-      // One release store publishes every upstream message of this round
-      // (alerts, aggregate events, acks) ... then the frontier: the events
-      // it vouches for are already committed, so an acquire read that
-      // observes the new frontier also observes them in the ring
-      // (DESIGN.md §12).
-      shard.up.CommitPushN();
-      shard.processed_ns.store(watermark, std::memory_order_release);
-      // Heartbeat last: it vouches for the whole retired round. A worker
-      // that wedges or blocks mid-batch never reaches this store.
-      if (heartbeat) {
-        shard.last_progress_ns.store(obs::MonotonicNanos(),
-                                     std::memory_order_release);
-      }
-      shard.waiting_on_lane.store(-1, std::memory_order_relaxed);
-      backoff.Reset();
-    } else {
-      // No work retired. Publish what (if anything) the merge is blocked
-      // on so the watchdog can tell a stalled producer from a stalled
-      // worker, and back off.
-      shard.waiting_on_lane.store(stall_lane, std::memory_order_relaxed);
+    const size_t n = shard.ring.FrontN(kBatchMax);
+    if (n == 0) {
       backoff.Pause();
+      continue;
     }
+    size_t taken = 0;
+    while (taken < n && !stopping) {
+      ShardMsg& msg = shard.ring.At(taken);
+      switch (msg.kind) {
+        case ShardMsg::Kind::kPacket:
+          ProcessPacket(shard, taken, msg, scratch);
+          watermark = std::max(watermark, msg.when_ns);
+          break;
+        case ShardMsg::Kind::kRetractMedia:
+          AdvanceShardClock(shard, sim::Time::FromNanos(msg.when_ns));
+          // This shard lost ownership of the endpoint: drop both the media
+          // index binding and the per-endpoint keyed counters, so exactly
+          // one shard counts the stream from the claim onward.
+          shard.vids->fact_base().RetractMedia(msg.endpoint);
+          shard.vids->fact_base().DropMediaKeyedGroup(msg.endpoint);
+          watermark = std::max(watermark, msg.when_ns);
+          break;
+        case ShardMsg::Kind::kFlush:
+          // FIFO: every packet ingested before the Flush() is processed.
+          AdvanceShardClock(shard, sim::Time::FromNanos(msg.when_ns));
+          PushUp(shard, [&](UpMsg& up) {
+            up.kind = UpMsg::Kind::kFlushAck;
+            up.token = msg.token;
+          });
+          watermark = std::max(watermark, msg.when_ns);
+          break;
+        case ShardMsg::Kind::kStop:
+          stopping = true;
+          break;
+        case ShardMsg::Kind::kWedge:
+          // Deliberate stall (tests): sleep before retiring the message.
+          // The ring stays non-empty and the heartbeat store below is not
+          // reached — exactly the state the watchdog must detect.
+          while (shard.wedged.load(std::memory_order_acquire)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          break;
+      }
+      ++taken;
+    }
+    shard.ring.PopN(taken);
+    // Worker-owned plain metric fields must be written before the commit
+    // below: the coordinator reads `shard.pipeline` after acquiring the
+    // flush ack published by this very batch.
+    shard.batch_consumed->Record(static_cast<int64_t>(taken));
+    // One release store publishes every upstream message of this batch
+    // (alerts, aggregate events, acks) ... then the frontier: the events
+    // it vouches for are already committed, so an acquire read that
+    // observes the new frontier also observes them in the ring
+    // (DESIGN.md §12).
+    shard.up.CommitPushN();
+    shard.processed_ns.store(watermark, std::memory_order_release);
+    // Heartbeat last: it vouches for the whole retired batch. A worker
+    // that wedges or blocks mid-batch never reaches this store.
+    if (heartbeat) {
+      shard.last_progress_ns.store(obs::MonotonicNanos(),
+                                   std::memory_order_release);
+    }
+    backoff.Reset();
   }
   // After this store no further up-messages are pushed; Stop() drains
   // until every worker has raised it, then joins.
@@ -512,19 +357,7 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
   scheduler.RunUntil(when);
 }
 
-// ----------------------------------------------------- producer-side routing
-
-void ShardedIds::PublishFrontier(IngestPort& port, int64_t candidate_ns) {
-  // Strict semantics: frontier F promises every future committed message
-  // has when_ns > F. A port that has seen (or promised) nothing earlier
-  // than `candidate` may publish candidate − 1 — it might still push AT
-  // candidate. INT64_MAX is terminal (Close/Stop).
-  const int64_t f =
-      candidate_ns == INT64_MAX ? INT64_MAX : candidate_ns - 1;
-  if (f > port.frontier_.load(std::memory_order_relaxed)) {
-    port.frontier_.store(f, std::memory_order_release);
-  }
-}
+// ----------------------------------------------------------------- routing
 
 int ShardedIds::ShardOfCallId(std::string_view call_id) const {
   return static_cast<int>(Fnv1a(call_id) % shards_.size());
@@ -534,30 +367,19 @@ int ShardedIds::HashShardOfEndpoint(uint64_t packed_key) const {
   return static_cast<int>(SplitMix64(packed_key) % shards_.size());
 }
 
-int ShardedIds::RouteEndpoint(IngestPort& port, const net::Endpoint& endpoint,
-                              int64_t when_ns, uint64_t seq) {
-  // Under the claim-ordered ingest contract every claim sequenced before
-  // this packet is already in the table; the seq-keyed lookup filters out
-  // any later-sequenced claim another producer applied early, so the
-  // answer is exactly the single-producer one.
-  bool pre_history = false;
-  const int owner =
-      owner_table_->OwnerAt(endpoint.PackedKey(), when_ns, seq, pre_history);
+int ShardedIds::RouteEndpoint(const net::Endpoint& endpoint,
+                              int64_t when_ns) {
+  const uint64_t key = endpoint.PackedKey();
+  const int owner = owner_table_.Owner(key, when_ns);
   if (owner >= 0) {
-    port.m_owner_routed_->Inc();
+    m_owner_routed_->Inc();
     return owner;
   }
-  // Pre-history: the entry exists but both recorded claim eras postdate
-  // this packet (>2 claims landed between this packet's arrival and its
-  // routing) — the bounded slow path; the packet hash-routes like
-  // unnegotiated media.
-  if (pre_history) port.m_route_escalations_->Inc();
-  port.m_hash_routed_->Inc();
-  return HashShardOfEndpoint(endpoint.PackedKey());
+  m_hash_routed_->Inc();
+  return HashShardOfEndpoint(key);
 }
 
-void ShardedIds::SnoopSdp(IngestPort& port, std::string_view body, int shard,
-                          int64_t when_ns, uint64_t seq) {
+void ShardedIds::SnoopSdp(std::string_view body, int shard, int64_t when_ns) {
   // Line scan for "c=... <ip>" / "m=audio <port>". This mirrors what the
   // shard-side classifier will extract; the router only needs the endpoint
   // → shard binding, not a full SDP model.
@@ -586,28 +408,17 @@ void ShardedIds::SnoopSdp(IngestPort& port, std::string_view body, int shard,
         const net::Endpoint endpoint{*ip,
                                      static_cast<uint16_t>(media_port)};
         const uint64_t key = endpoint.PackedKey();
-        const int hash_shard = HashShardOfEndpoint(key);
-        // Apply the claim to the shared table; whatever ownership edges it
-        // creates (first-claim early retract, renegotiation handover, or
-        // the double edge of a stale claim another producer outran) ride
-        // THIS port's lanes at THIS packet's (when, seq) — the worker's
-        // merge orders them exactly where the claim sits in the global
-        // arrival order, and a retract for an endpoint a shard never bound
-        // is a no-op, so every losing shard is retracted exactly once.
-        const MediaOwnerTable::ClaimResult r =
-            owner_table_->ApplyClaim(key, shard, when_ns, seq, hash_shard);
-        if (r.dropped_stale) port.m_stale_claims_->Inc();
-        for (int e = 0; e < r.edge_count; ++e) {
-          const MediaOwnerTable::RetractEdge edge = r.edges[e];
-          if (edge.early) {
-            port.m_early_retracts_->Inc();
-          } else {
-            port.m_retracts_->Inc();
-          }
-          PushLane(port, edge.shard, [&](ShardMsg& msg, Lane&, size_t) {
+        // The losing shard (the previous owner, or the hash-fallback shard
+        // that early media went to) gets its retract ahead of the claiming
+        // packet on its own FIFO ring. A retract for an endpoint the shard
+        // never bound is a no-op.
+        const MediaOwnerTable::RetractEdge edge = owner_table_.Claim(
+            key, shard, when_ns, HashShardOfEndpoint(key));
+        if (edge.shard >= 0) {
+          (edge.early ? m_early_retracts_ : m_retracts_)->Inc();
+          Push(edge.shard, [&](ShardMsg& msg, size_t) {
             msg.kind = ShardMsg::Kind::kRetractMedia;
             msg.when_ns = when_ns;
-            msg.seq = seq;
             msg.endpoint = endpoint;
           });
         }
@@ -619,119 +430,95 @@ void ShardedIds::SnoopSdp(IngestPort& port, std::string_view body, int shard,
 }
 
 template <typename Fill>
-void ShardedIds::PushLane(IngestPort& port, int shard_index, Fill&& fill) {
-  Lane& lane =
-      *shards_[static_cast<size_t>(shard_index)]->lanes[static_cast<size_t>(
-          port.index_)];
+void ShardedIds::Push(int shard_index, Fill&& fill) {
+  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
   // The arena slot paired with the slot BeginPushN hands out. Stable across
   // the backpressure commit below (committing does not move tail+pending).
-  const size_t slot_index = lane.ring.ProducerNextIndex();
-  ShardMsg* slot = lane.ring.BeginPushN();
+  const size_t slot_index = shard.ring.ProducerNextIndex();
+  ShardMsg* slot = shard.ring.BeginPushN();
   if (slot == nullptr) {
-    // Backpressure, not loss. Publish this port's open batches (the worker
-    // can only drain what it can see — and the commit lets the frontier
-    // advance so other producers' gates and the merges keep moving), then
-    // wait for room. The coordinator-thread port drains upstream while it
-    // waits, exactly the PR 5 rule that keeps the ring cycle deadlock-free;
-    // detached producer threads back off and rely on the driver pumping.
-    CommitPortLanes(port, FlushReason::kFull);
-    common::SpinBackoff backoff;
+    // Backpressure, not loss. Publish every open batch (the worker can
+    // only drain what it can see) and keep draining the up-rings while
+    // waiting so a worker blocked pushing alerts upstream can make
+    // progress — this pair of rules is what makes the ring cycle
+    // deadlock-free.
+    CommitAll(FlushReason::kFull);
     do {
-      port.m_stalls_->Inc();
-      ++port.lane_stalls_[static_cast<size_t>(shard_index)];
-      if (port.inline_drain_) {
-        DrainUp();
-        std::this_thread::yield();
-      } else {
-        backoff.Pause();
-      }
-      slot = lane.ring.BeginPushN();
+      m_stalls_->Inc();
+      ++shard.ring_stalls;
+      DrainUp();
+      std::this_thread::yield();
+      slot = shard.ring.BeginPushN();
     } while (slot == nullptr);
   }
-  fill(*slot, lane, slot_index);
-  // Track the open batch's earliest message time: the frontier may not
-  // pass an uncommitted (worker-invisible) message.
-  if (port.lane_open_ns_[static_cast<size_t>(shard_index)] == INT64_MAX) {
-    port.lane_open_ns_[static_cast<size_t>(shard_index)] = slot->when_ns;
-    port.open_min_ns_ = std::min(port.open_min_ns_, slot->when_ns);
+  fill(*slot, slot_index);
+  ++open_msgs_;
+  if (const auto depth = static_cast<uint64_t>(shard.ring.SizeFromProducer());
+      depth > shard.ring_hwm) {
+    shard.ring_hwm = depth;
   }
-  if (const auto depth = static_cast<uint64_t>(lane.ring.SizeFromProducer());
-      depth > port.lane_hwm_[static_cast<size_t>(shard_index)]) {
-    port.lane_hwm_[static_cast<size_t>(shard_index)] = depth;
-  }
-  if (lane.ring.open_push() >= config_.batch_max) {
-    port.m_batch_committed_->Record(
-        static_cast<int64_t>(lane.ring.open_push()));
-    port.m_flush_full_->Inc();
-    lane.ring.CommitPushN();
-    port.lane_open_ns_[static_cast<size_t>(shard_index)] = INT64_MAX;
-    port.open_min_ns_ = MinOf(port.lane_open_ns_);
-    PublishFrontier(port,
-                    std::min(port.open_min_ns_, port.last_when_ns_));
+  if (const size_t open = shard.ring.open_push(); open >= kBatchMax) {
+    m_batch_committed_->Record(static_cast<int64_t>(open));
+    m_flush_full_->Inc();
+    shard.ring.CommitPushN();
+    open_msgs_ -= open;
   }
 }
 
-void ShardedIds::CommitPortLanes(IngestPort& port, FlushReason reason) {
-  obs::Counter* flush_reason = port.m_flush_barrier_;
+void ShardedIds::CommitAll(FlushReason reason) {
+  obs::Counter* flush_reason = m_flush_barrier_;
   switch (reason) {
-    case FlushReason::kFull: flush_reason = port.m_flush_full_; break;
-    case FlushReason::kDeadline: flush_reason = port.m_flush_deadline_; break;
+    case FlushReason::kFull: flush_reason = m_flush_full_; break;
+    case FlushReason::kDeadline: flush_reason = m_flush_deadline_; break;
     case FlushReason::kBarrier: break;
   }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    common::SpscRing<ShardMsg>& ring =
-        shards_[s]->lanes[static_cast<size_t>(port.index_)]->ring;
-    if (const size_t open = ring.open_push(); open != 0) {
-      port.m_batch_committed_->Record(static_cast<int64_t>(open));
+  for (auto& shard : shards_) {
+    if (const size_t open = shard->ring.open_push(); open != 0) {
+      m_batch_committed_->Record(static_cast<int64_t>(open));
       flush_reason->Inc();
-      ring.CommitPushN();
+      shard->ring.CommitPushN();
     }
-    port.lane_open_ns_[s] = INT64_MAX;
   }
-  port.open_min_ns_ = INT64_MAX;
-  port.deadline_armed_ = false;
-  PublishFrontier(port, port.last_when_ns_);
+  open_msgs_ = 0;
+  deadline_armed_ = false;
 }
 
-void ShardedIds::PortDeadlineCheck(IngestPort& port, int64_t when_ns) {
+void ShardedIds::DeadlineCheck(int64_t when_ns) {
   // Bounded-latency flush: a partial batch is published once it has been
   // open for kBatchFlushMicros, enforced in both clock domains — source time
   // first (an integer compare, no clock read), then wall clock — so a
   // faster-than-real-time replay cannot hold a pre-gap packet unpublished
-  // while the stream's own clock races far past it. The batch_max == 1
-  // configuration commits in PushLane and never touches either clock.
-  if (config_.batch_max <= 1) return;
-  if (port.open_min_ns_ == INT64_MAX) {
-    port.deadline_armed_ = false;
+  // while the stream's own clock races far past it.
+  if (open_msgs_ == 0) {
+    deadline_armed_ = false;
     return;
   }
-  if (!port.deadline_armed_) {
-    port.deadline_armed_ = true;
-    port.deadline_since_ = std::chrono::steady_clock::now();
-    port.deadline_src_ns_ = when_ns;
+  if (!deadline_armed_) {
+    deadline_armed_ = true;
+    deadline_since_ = std::chrono::steady_clock::now();
+    deadline_src_ns_ = when_ns;
     return;
   }
-  if (when_ns - port.deadline_src_ns_ >= kBatchFlushMicros * 1000 ||
-      std::chrono::steady_clock::now() - port.deadline_since_ >=
+  if (when_ns - deadline_src_ns_ >= kBatchFlushMicros * 1000 ||
+      std::chrono::steady_clock::now() - deadline_since_ >=
           std::chrono::microseconds(kBatchFlushMicros)) {
-    CommitPortLanes(port, FlushReason::kDeadline);
+    CommitAll(FlushReason::kDeadline);
   }
 }
 
 bool ShardedIds::CarriesClaims(const net::Datagram& dgram,
                                sip::LazyMessage& scratch) {
-  // Same dispatch test as IngestOn below: not RTCP-foldable, not a trusted
+  // Same dispatch test as Ingest below: not RTCP-foldable, not a trusted
   // RTP hint, and the lazy SIP parser accepts it.
   if (rtp::LooksLikeRtcp(dgram.payload) && dgram.dst.port >= 1) return false;
   return dgram.kind != net::PayloadKind::kRtp && scratch.Index(dgram.payload);
 }
 
-void ShardedIds::IngestOn(IngestPort& port, const net::Datagram& dgram,
-                          bool from_outside, sim::Time when, uint64_t seq) {
-  if (workers_joined_ || port.closed_) return;  // stopped engines drop quietly
+void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
+                        sim::Time when) {
+  if (workers_joined_) return;  // stopped engines drop quietly
   const int64_t when_ns = when.nanos();
-  port.last_when_ns_ = std::max(port.last_when_ns_, when_ns);
-  port.last_when_pub_.store(port.last_when_ns_, std::memory_order_relaxed);
+  last_when_ns_ = std::max(last_when_ns_, when_ns);
 
   // Replicate the classifier's dispatch order (classifier.cpp) so the
   // router and the shard-side classifier agree on what a packet is:
@@ -746,31 +533,31 @@ void ShardedIds::IngestOn(IngestPort& port, const net::Datagram& dgram,
     // halves of one stream meet on one shard, as in Vids::HandleRtcp.
     const net::Endpoint media{dgram.dst.ip,
                               static_cast<uint16_t>(dgram.dst.port - 1)};
-    target = RouteEndpoint(port, media, when_ns, seq);
+    target = RouteEndpoint(media, when_ns);
   } else if (dgram.kind != net::PayloadKind::kRtp &&
-             port.lazy_.Index(dgram.payload)) {
-    const auto call_id = port.lazy_.CallId();
+             lazy_.Index(dgram.payload)) {
+    const auto call_id = lazy_.CallId();
     target = ShardOfCallId(call_id.value_or(std::string_view()));
-    port.m_sip_routed_->Inc();
-    if (call_id.has_value() && !port.lazy_.body().empty()) {
-      SnoopSdp(port, port.lazy_.body(), target, when_ns, seq);
+    m_sip_routed_->Inc();
+    if (call_id.has_value() && !lazy_.body().empty()) {
+      SnoopSdp(lazy_.body(), target, when_ns);
     }
   } else {
-    target = RouteEndpoint(port, dgram.dst, when_ns, seq);
+    target = RouteEndpoint(dgram.dst, when_ns);
   }
 
-  // Span sampling: one in trace_sample_period packets (per port) gets its
-  // enqueue wall time stamped into the slot; the worker closes the span.
-  // With sampling off this is a single always-false branch — no clock read.
+  // Span sampling: one in trace_sample_period packets gets its enqueue
+  // wall time stamped into the slot; the worker closes the span. With
+  // sampling off this is a single always-false branch — no clock read.
   int64_t span_ns = 0;
-  if (trace_on_ && ((++port.trace_tick_ & trace_mask_) == 0)) {
+  if (trace_on_ && ((++trace_tick_ & trace_mask_) == 0)) {
     span_ns = obs::MonotonicNanos();
   }
 
-  PushLane(port, target, [&](ShardMsg& msg, Lane& lane, size_t slot_index) {
+  Shard& shard = *shards_[static_cast<size_t>(target)];
+  Push(target, [&](ShardMsg& msg, size_t slot_index) {
     msg.kind = ShardMsg::Kind::kPacket;
     msg.when_ns = when_ns;
-    msg.seq = seq;
     msg.span_enqueue_ns = span_ns;  // always assigned: slots are reused
     msg.from_outside = from_outside;
     msg.dgram.src = dgram.src;
@@ -779,12 +566,12 @@ void ShardedIds::IngestOn(IngestPort& port, const net::Datagram& dgram,
     msg.dgram.padding_bytes = dgram.padding_bytes;
     msg.dgram.sent_time = dgram.sent_time;
     msg.dgram.id = dgram.id;
-    if (lane.arena.Fits(dgram.payload.size())) {
-      // Fast path: payload bytes go to the lane's contiguous slab; the
-      // slot's own string is left untouched (its stale bytes are dead —
-      // arena_len is the source of truth).
-      lane.arena.Store(slot_index, dgram.payload.data(),
-                       dgram.payload.size());
+    if (shard.arena.Fits(dgram.payload.size())) {
+      // Fast path: payload bytes go to the contiguous slab; the slot's own
+      // string is left untouched (its stale bytes are dead — arena_len is
+      // the source of truth).
+      shard.arena.Store(slot_index, dgram.payload.data(),
+                        dgram.payload.size());
       msg.in_arena = true;
       msg.arena_len = static_cast<uint32_t>(dgram.payload.size());
     } else {
@@ -794,100 +581,16 @@ void ShardedIds::IngestOn(IngestPort& port, const net::Datagram& dgram,
     }
   });
 
-  PortDeadlineCheck(port, when_ns);
-
-  if (port.inline_drain_) {
-    // Coordinator-thread port (single-producer engines): keep the
-    // opportunistic upstream drain so alerts surface and the aggregate
-    // replay keeps pace without explicit Pump() calls.
-    if ((++ingest_count_ & 31U) == 0) DrainUp();
-  }
-}
-
-void ShardedIds::PortHeartbeat(IngestPort& port, sim::Time when) {
-  if (port.closed_ || workers_joined_) return;
-  port.last_when_ns_ = std::max(port.last_when_ns_, when.nanos());
-  port.last_when_pub_.store(port.last_when_ns_, std::memory_order_relaxed);
-  PortDeadlineCheck(port, port.last_when_ns_);
-  PublishFrontier(port, std::min(port.open_min_ns_, port.last_when_ns_));
-}
-
-void ShardedIds::PortClose(IngestPort& port) {
-  if (port.closed_) return;
-  CommitPortLanes(port, FlushReason::kBarrier);
-  port.closed_ = true;
-  PublishFrontier(port, INT64_MAX);
-}
-
-void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
-                        sim::Time when) {
-  IngestPort& p0 = *ports_[0];
-  IngestOn(p0, dgram, from_outside, when, p0.auto_seq_++);
+  DeadlineCheck(when_ns);
+  // Opportunistic upstream drain so alerts surface and the aggregate
+  // replay keeps pace without explicit Pump() calls.
+  if ((++ingest_count_ & 31U) == 0) DrainUp();
 }
 
 // ------------------------------------------------------------ coordinator
 
-template <typename Fill>
-void ShardedIds::PushDown(int shard_index, Fill&& fill) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  ShardMsg* slot = shard.down.BeginPushN();
-  if (slot == nullptr) {
-    // Backpressure, not loss. Publish the open batch (the worker can only
-    // drain what it can see) and keep draining the up-rings while waiting
-    // so a worker blocked pushing alerts upstream can make progress — this
-    // pair of rules is what makes the ring cycle deadlock-free.
-    if (const size_t open = shard.down.open_push(); open != 0) {
-      m_batch_committed_->Record(static_cast<int64_t>(open));
-      m_flush_full_->Inc();
-    }
-    shard.down.CommitPushN();
-    do {
-      ++shard.down_stalls;
-      DrainUp();
-      std::this_thread::yield();
-      slot = shard.down.BeginPushN();
-    } while (slot == nullptr);
-  }
-  fill(*slot);
-  if (const auto depth = static_cast<uint64_t>(shard.down.SizeFromProducer());
-      depth > shard.down_hwm) {
-    shard.down_hwm = depth;
-  }
-  if (shard.down.open_push() >= config_.batch_max) {
-    m_batch_committed_->Record(static_cast<int64_t>(shard.down.open_push()));
-    m_flush_full_->Inc();
-    shard.down.CommitPushN();
-  }
-}
-
-void ShardedIds::CommitAllDown(FlushReason reason) {
-  obs::Counter* flush_reason =
-      reason == FlushReason::kFull ? m_flush_full_ : m_flush_barrier_;
-  for (auto& shard : shards_) {
-    if (const size_t open = shard->down.open_push(); open != 0) {
-      m_batch_committed_->Record(static_cast<int64_t>(open));
-      flush_reason->Inc();
-      shard->down.CommitPushN();
-    }
-  }
-}
-
-int64_t ShardedIds::LatestIngestNs() const {
-  int64_t t = 0;
-  for (const auto& port : ports_) {
-    t = std::max(t, port->last_when_pub_.load(std::memory_order_relaxed));
-  }
-  return t;
-}
-
 void ShardedIds::Pump() {
-  // Only the coordinator-thread port's open batches may be committed from
-  // here — the other ports' producer-side ring state belongs to their
-  // threads (Flush/Stop may touch it, under the quiescence contract).
-  if (ports_[0]->inline_drain_) {
-    CommitPortLanes(*ports_[0], FlushReason::kBarrier);
-  }
-  CommitAllDown(FlushReason::kBarrier);
+  CommitAll(FlushReason::kBarrier);
   DrainUp();
 }
 
@@ -907,8 +610,7 @@ void ShardedIds::WatchdogCheck() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     ShardHealth& h = health_[i];
-    size_t depth = shard.down.SizeApprox();
-    for (const auto& lane : shard.lanes) depth += lane->ring.SizeApprox();
+    const size_t depth = shard.ring.SizeApprox();
     const int64_t hb = shard.last_progress_ns.load(std::memory_order_acquire);
     const int64_t src = shard.processed_ns.load(std::memory_order_acquire);
     if (depth == 0) {
@@ -936,35 +638,21 @@ void ShardedIds::WatchdogCheck() {
     }
     if (!h.alerted && now - h.pending_since_ns >= watchdog_threshold_ns_) {
       // Pending work, no progress, continuously observed for a full
-      // deadline: stalled. One alert per episode, attributed to the
-      // producer lane the worker is merge-blocked on when there is one —
-      // the worker is alive but starved of a frontier, which is the
-      // producer's failure, not the worker's.
+      // deadline: stalled. One alert per episode.
       h.alerted = true;
       m_watchdog_stalls_->Inc();
-      const int lane = shard.waiting_on_lane.load(std::memory_order_relaxed);
       Alert alert;
-      alert.when = sim::Time::FromNanos(LatestIngestNs());
+      alert.when = sim::Time::FromNanos(last_when_ns_);
       alert.kind = AlertKind::kEngineHealth;
+      alert.classification = std::string(kEngineWorkerStall);
       alert.machine = "watchdog";
+      alert.group = "shard|" + std::to_string(i);
       alert.state = "stalled";
       alert.detail = "ring_depth=" + std::to_string(depth) + " stalled_ms=" +
                      std::to_string((now - h.pending_since_ns) / 1'000'000);
-      if (lane >= 0) {
-        m_watchdog_producer_stalls_->Inc();
-        alert.classification = std::string(kEngineProducerStall);
-        alert.group = "producer|" + std::to_string(lane);
-        alert.detail += " shard=" + std::to_string(i);
-        alert.trigger =
-            "watchdog: worker merge-blocked on an ingest lane whose "
-            "producer frontier stopped advancing past the stall deadline";
-      } else {
-        alert.classification = std::string(kEngineWorkerStall);
-        alert.group = "shard|" + std::to_string(i);
-        alert.trigger =
-            "watchdog: shard rings non-empty with no worker progress past "
-            "the stall deadline";
-      }
+      alert.trigger =
+          "watchdog: shard ring non-empty with no worker progress past the "
+          "stall deadline";
       EmitAlert(std::move(alert));
     }
   }
@@ -988,7 +676,7 @@ void ShardedIds::DrainUp() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     for (;;) {
-      const size_t n = shard.up.FrontN(config_.batch_max);
+      const size_t n = shard.up.FrontN(kBatchMax);
       if (n == 0) break;
       for (size_t j = 0; j < n; ++j) {
         UpMsg& msg = shard.up.At(j);
@@ -1075,27 +763,17 @@ void ShardedIds::Flush(sim::Time now) {
     return;
   }
   m_flushes_->Inc();
-  const int64_t now_ns = std::max(now.nanos(), LatestIngestNs());
-  // Quiescent-ports contract: the caller has synchronized with every
-  // producer thread, so the coordinator may publish their open batches and
-  // force their frontiers past the barrier (the workers' barrier check
-  // requires every frontier >= now_ns). Post-flush ingest must carry times
-  // strictly after now_ns — PublishFrontier(now_ns + 1) records exactly
-  // that promise.
-  for (const auto& port : ports_) {
-    CommitPortLanes(*port, FlushReason::kBarrier);
-    PublishFrontier(*port, now_ns + 1);
-  }
+  const int64_t now_ns = std::max(now.nanos(), last_when_ns_);
   ++flush_token_;
   flush_acks_ = 0;
   for (int i = 0; i < shards(); ++i) {
-    PushDown(i, [&](ShardMsg& msg) {
+    Push(i, [&](ShardMsg& msg, size_t) {
       msg.kind = ShardMsg::Kind::kFlush;
       msg.when_ns = now_ns;
       msg.token = flush_token_;
     });
   }
-  CommitAllDown(FlushReason::kBarrier);
+  CommitAll(FlushReason::kBarrier);
   while (flush_acks_ < shards_.size()) {
     DrainUp();
     if (flush_acks_ < shards_.size()) std::this_thread::yield();
@@ -1124,12 +802,11 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
   // shard still holds state for the endpoint; routing can safely fall back
   // to the hash. (Streams with longer in-stream gaps would re-route — the
   // keyed group they'd rejoin was reclaimed at the 30 s idle timeout
-  // anyway, so the fresh-count behavior matches the single engine.) The
-  // rebuild requires quiescent readers — Flush()'s contract provides it.
+  // anyway, so the fresh-count behavior matches the single engine.)
   const int64_t owner_horizon_ns =
       (config_.detection.tombstone_ttl + config_.detection.keyed_idle_timeout)
           .nanos();
-  owner_table_->Prune(now_ns, owner_horizon_ns);
+  owner_table_.Prune(now_ns, owner_horizon_ns);
 
   // Every event up to now_ns is replayed, so the coordinator clock may
   // catch up: window expiries and the fact base's sweep chain run on the
@@ -1145,18 +822,11 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
 
 void ShardedIds::Stop() {
   if (workers_joined_) return;
-  // Quiescent-ports contract (as in Flush): publish every port's open
-  // batches and raise the frontiers to +inf so the workers' kStop barrier
-  // (all lanes drained, all frontiers terminal) can pass.
-  for (const auto& port : ports_) {
-    CommitPortLanes(*port, FlushReason::kBarrier);
-    PublishFrontier(*port, INT64_MAX);
-  }
   for (int i = 0; i < shards(); ++i) {
-    PushDown(i, [](ShardMsg& msg) { msg.kind = ShardMsg::Kind::kStop; });
+    Push(i, [](ShardMsg& msg, size_t) { msg.kind = ShardMsg::Kind::kStop; });
   }
-  CommitAllDown(FlushReason::kBarrier);
-  // A worker with lane backlog keeps emitting up-messages on its way to
+  CommitAll(FlushReason::kBarrier);
+  // A worker with ring backlog keeps emitting up-messages on its way to
   // the kStop and blocks in PushUp if its up-ring fills — so keep draining
   // until every worker has passed its kStop; only then is join()
   // guaranteed to return.
@@ -1184,13 +854,13 @@ void ShardedIds::Stop() {
 }
 
 void ShardedIds::WedgeWorkerForTest(int shard_index) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  shard.wedged.store(true, std::memory_order_release);
-  PushDown(shard_index, [&](ShardMsg& msg) {
+  shards_[static_cast<size_t>(shard_index)]->wedged.store(
+      true, std::memory_order_release);
+  Push(shard_index, [&](ShardMsg& msg, size_t) {
     msg.kind = ShardMsg::Kind::kWedge;
-    msg.when_ns = LatestIngestNs();
+    msg.when_ns = last_when_ns_;
   });
-  CommitAllDown(FlushReason::kBarrier);
+  CommitAll(FlushReason::kBarrier);
 }
 
 void ShardedIds::UnwedgeWorkerForTest(int shard_index) {
@@ -1216,42 +886,11 @@ size_t ShardedIds::CountAlerts(std::string_view classification) const {
   return count;
 }
 
-uint64_t ShardedIds::ingest_stalls() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) total += port->m_stalls_->value();
-  return total;
-}
-
-uint64_t ShardedIds::ownership_transfers() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) total += port->m_retracts_->value();
-  return total;
-}
-
-uint64_t ShardedIds::early_media_retracts() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) total += port->m_early_retracts_->value();
-  return total;
-}
-
-uint64_t ShardedIds::route_escalations() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) {
-    total += port->m_route_escalations_->value();
-  }
-  return total;
-}
-
 obs::MetricsRegistry ShardedIds::MergedMetrics() const {
   obs::MetricsRegistry merged;
   merged.MergeFrom(coord_metrics_);
-  // Every port folds bare: same metric names as the PR 5 coordinator's
-  // routing counters, so the familiar series stay meaningful — they are
-  // now sums over producers.
-  for (const auto& port : ports_) merged.MergeFrom(port->metrics_);
   uint64_t up_stalls = 0;
   std::string prefix;
-  std::string lane_prefix;
   for (const auto& shard : shards_) {
     merged.MergeFrom(shard->vids->metrics());
     // Pipeline histograms fold twice: bare (cross-shard aggregate, what
@@ -1263,29 +902,15 @@ obs::MetricsRegistry ShardedIds::MergedMetrics() const {
     prefix.push_back('.');
     merged.MergeFrom(shard->pipeline, prefix);
     merged.GetGauge(prefix + "ring.down_depth_hwm")
-        .Set(static_cast<int64_t>(shard->down_hwm));
+        .Set(static_cast<int64_t>(shard->ring_hwm));
     merged.GetGauge(prefix + "ring.up_depth_hwm")
         .Set(static_cast<int64_t>(shard->up_hwm));
-    merged.GetCounter(prefix + "ring.down_stalls").Inc(shard->down_stalls);
+    merged.GetCounter(prefix + "ring.down_stalls").Inc(shard->ring_stalls);
     merged.GetCounter(prefix + "ring.up_stalls").Inc(shard->up_stalls);
-    // Per-lane producer-side series: "shard.<i>.lane.<p>.ring.*" — the
-    // exporter renders these with both shard and lane labels.
-    for (size_t p = 0; p < ports_.size(); ++p) {
-      lane_prefix.assign(prefix);
-      lane_prefix.append("lane.");
-      lane_prefix.append(std::to_string(p));
-      lane_prefix.push_back('.');
-      const auto si = static_cast<size_t>(shard->index);
-      merged.GetGauge(lane_prefix + "ring.depth_hwm")
-          .Set(static_cast<int64_t>(ports_[p]->lane_hwm_[si]));
-      merged.GetCounter(lane_prefix + "ring.stalls")
-          .Inc(ports_[p]->lane_stalls_[si]);
-    }
     up_stalls += shard->up_stalls;
   }
   merged.GetCounter("sharded.worker_stalls").Inc(up_stalls);
   merged.GetGauge("sharded.shards").Set(shards());
-  merged.GetGauge("sharded.producers").Set(producers());
   merged.MergeFrom(coord_vids_.metrics());
   merged.GetGauge("sharded.behavior_profiles")
       .Set(static_cast<int64_t>(behavior().profile_count()));
@@ -1298,7 +923,7 @@ size_t ShardedIds::TrackedState() const {
     return fb.call_count() + fb.keyed_count() + fb.tombstone_count() +
            fb.media_index_count();
   };
-  size_t total = owner_table_->size() + tracked(coord_vids_) +
+  size_t total = owner_table_.size() + tracked(coord_vids_) +
                  behavior().profile_count();
   for (const auto& shard : shards_) total += tracked(*shard->vids);
   return total;
@@ -1308,14 +933,11 @@ size_t ShardedIds::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   for (const auto& shard : shards_) {
     bytes += shard->vids->fact_base().MemoryBytes();
-    bytes += (shard->down.capacity() * sizeof(ShardMsg) +
-              shard->up.capacity() * sizeof(UpMsg));
-    for (const auto& lane : shard->lanes) {
-      bytes += lane->ring.capacity() * sizeof(ShardMsg) +
-               lane->arena.MemoryBytes();
-    }
+    bytes += shard->ring.capacity() * sizeof(ShardMsg) +
+             shard->arena.MemoryBytes() +
+             shard->up.capacity() * sizeof(UpMsg);
   }
-  bytes += owner_table_->MemoryBytes();
+  bytes += owner_table_.MemoryBytes();
   bytes += coord_vids_.fact_base().MemoryBytes();
   for (const auto& queue : pending_) {
     bytes += queue.size() * sizeof(Vids::AggregateEvent);

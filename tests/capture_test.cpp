@@ -653,18 +653,19 @@ net::Datagram SipDg(net::Endpoint src, net::Endpoint dst,
 
 TEST(ShardedReplayClock, CaptureGapUnderFastReplayDoesNotTripWatchdog) {
   // An established call keeps the fact base's sweep chain armed, then the
-  // capture goes quiet for 8 simulated hours. Replay covers that gap in
-  // microseconds of wall time; the worker has ~144k sweep timers to burn
-  // through while the coordinator's watchdog (60 ms threshold) polls. The
-  // sliced catch-up heartbeats plus the source-time re-anchor must keep
-  // this scored as replay progress, not a wedged worker.
+  // capture goes quiet for 4 simulated days. Replay covers that gap in
+  // microseconds of wall time; the worker has ~1.7M sweep timers to burn
+  // through (a few hundred ms in Release, several times the watchdog's
+  // 60 ms threshold) while the coordinator's watchdog polls. The sliced
+  // catch-up heartbeats plus the source-time re-anchor must keep this
+  // scored as replay progress, not a wedged worker; a monolithic catch-up
+  // trips it.
   ids::DetectionConfig detection;
   detection.sweep_interval = sim::Duration::Millis(200);
-  detection.call_idle_timeout = sim::Duration::Seconds(24 * 3600);
+  detection.call_idle_timeout = sim::Duration::Seconds(30 * 24 * 3600);
 
   ids::ShardedConfig config;
   config.shards = 1;
-  config.batch_max = 1;
   config.watchdog_stall_ms = 60;
   config.detection = detection;
   ids::ShardedIds engine(config);
@@ -676,7 +677,7 @@ TEST(ShardedReplayClock, CaptureGapUnderFastReplayDoesNotTripWatchdog) {
   source.Append(at(0), SipDg(kOutA, kInB, WdMessage("invite", "wd-1")), true);
   source.Append(at(20), SipDg(kInB, kOutA, WdMessage("ok", "wd-1")), false);
   source.Append(at(40), SipDg(kOutA, kInB, WdMessage("ack", "wd-1")), true);
-  const int64_t gap_ms = 8 * 3600 * 1000;
+  const int64_t gap_ms = int64_t{4} * 24 * 3600 * 1000;
   source.Append(at(gap_ms), Dg(kOutA, kInB, "post-gap probe"), true);
 
   const ReplayStats replay = RunSource(source, engine);
@@ -823,9 +824,10 @@ TEST(ShardedReplayClock, SourceTimeDeadlineFlushesOpenBatch) {
   // wall time. The batch deadline must bind in the source domain: the
   // second Ingest sees the batch open past kBatchFlushMicros of stream
   // time and commits it, wall clock notwithstanding.
+  // Two packets never fill a kBatchMax batch: only the deadline commits.
+  static_assert(ids::ShardedIds::kBatchMax > 2);
   ids::ShardedConfig config;
   config.shards = 1;
-  config.batch_max = 1024;  // never fills: only the deadline can commit
   ids::ShardedIds engine(config);
 
   engine.Ingest(Dg(kOutA, kInB, "a"), true, sim::Time::FromNanos(0));

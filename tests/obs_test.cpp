@@ -270,33 +270,6 @@ TEST(MetricsRegistry, ToPrometheusTurnsShardPrefixesIntoLabels) {
   EXPECT_EQ(text.find("sharded_flushes{"), std::string::npos);
 }
 
-TEST(MetricsRegistry, ToPrometheusTurnsLanePrefixesIntoLabels) {
-  // Per-ingest-lane gauges published under "shard.N.lane.M." collapse into
-  // one family with shard AND lane labels, so a dashboard can plot every
-  // producer lane's ring depth without per-lane metric names.
-  MetricsRegistry reg;
-  reg.GetGauge("shard.3.lane.1.ring.depth_hwm").Set(48);
-  reg.GetGauge("shard.0.lane.0.ring.depth_hwm").Set(7);
-  reg.GetCounter("shard.2.lane.11.ring.stalls").Inc(5);
-  // A shard-level name whose next segment merely STARTS with "lane" keeps
-  // that segment in the family name rather than minting a bogus label.
-  reg.GetGauge("shard.1.lanes.total").Set(4);
-
-  const std::string text = reg.ToPrometheus();
-  EXPECT_NE(text.find("ring_depth_hwm{shard=\"3\",lane=\"1\"} 48"),
-            std::string::npos);
-  EXPECT_NE(text.find("ring_depth_hwm{shard=\"0\",lane=\"0\"} 7"),
-            std::string::npos);
-  EXPECT_NE(text.find("ring_stalls{shard=\"2\",lane=\"11\"} 5"),
-            std::string::npos);
-  EXPECT_NE(text.find("lanes_total{shard=\"1\"} 4"), std::string::npos);
-  // One family, one TYPE header, despite four shard/lane series.
-  const std::string type_line = "# TYPE ring_depth_hwm gauge";
-  const size_t first = text.find(type_line);
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(text.find(type_line, first + 1), std::string::npos);
-}
-
 // --------------------------------------------------------- flight recorder
 
 TEST(FlightRecorder, RingKeepsNewestRecords) {

@@ -273,9 +273,10 @@ TEST_F(IdsFixture, RepeatedAttackAlertsAreDeduplicated) {
   const int n = vids_.detection().invite_flood_threshold;
   // A sustained flood: many packets beyond the threshold within 1 s.
   for (int i = 0; i <= n + 20; ++i) {
-    vids_.Inspect(SipDgram(MakeInvite("f" + std::to_string(i)), kAttacker,
-                           kProxyB),
-                  true);
+    // Not `"f" + std::to_string(i)`: GCC 12 -O3 flags it -Wrestrict.
+    std::string call_id(1, 'f');
+    call_id += std::to_string(i);
+    vids_.Inspect(SipDgram(MakeInvite(call_id), kAttacker, kProxyB), true);
   }
   EXPECT_EQ(Attacks("INVITE flood"), 1u);
   EXPECT_GT(vids_.stats().alerts_suppressed, 0u);
