@@ -4,6 +4,10 @@
 // ≈ 450 bytes, RTP state ≈ 40 bytes; growth is linear in concurrent calls
 // and low enough to monitor thousands of calls; machines are deleted when
 // a call reaches its final state.
+//
+// Exits nonzero when one established call group exceeds
+// kGroupCeilingBytes or the deletion check fails, so CI catches per-call
+// state growing back.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -16,6 +20,10 @@
 using namespace vids;
 
 namespace {
+
+// Ceiling on one established call group (SIP + RTP spec machines, the two
+// per-call scenario machines, globals, sync channel and flight recorder).
+constexpr size_t kGroupCeilingBytes = 2816;
 
 const net::Endpoint kProxyA{net::IpAddress(10, 1, 0, 1), 5060};
 const net::Endpoint kProxyB{net::IpAddress(10, 2, 0, 1), 5060};
@@ -91,6 +99,7 @@ int main() {
       "TAB-MEM", "per-call memory cost and linear growth",
       "~450 B SIP + ~40 B RTP state vars per call; linear growth; "
       "thousands of calls affordable; deleted at final state");
+  int status = 0;
 
   // --- State-variable payload of one monitored call (the paper's unit) ---
   {
@@ -117,8 +126,15 @@ int main() {
       std::printf("  RTP machine: %5zu B state variables (%zu B with "
                   "instance overhead; paper: ~40 B)\n",
                   rtp_vars, rtp_total);
-      std::printf("  whole group (incl. globals + per-call patterns): %zu B\n",
-                  group->MemoryBytes());
+      const size_t group_bytes = group->MemoryBytes();
+      const bool within = group_bytes <= kGroupCeilingBytes;
+      std::printf("  whole group (incl. globals + per-call patterns): %zu B "
+                  "(ceiling %zu B) -> %s\n",
+                  group_bytes, kGroupCeilingBytes, within ? "OK" : "OVER");
+      if (!within) status = 1;
+    } else {
+      std::printf("one established call: MISSING\n");
+      status = 1;
     }
   }
 
@@ -192,6 +208,7 @@ int main() {
                 pooled / 1024, ids::CallStateFactBase::kGroupPoolCap);
     std::printf("state deleted at final call state -> %s\n",
                 after < before / 4 ? "OK" : "MISMATCH");
+    if (after >= before / 4) status = 1;
   }
-  return 0;
+  return status;
 }

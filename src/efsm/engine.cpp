@@ -21,6 +21,23 @@ EngineMetrics EngineMetrics::Registered(obs::MetricsRegistry& registry) {
 
 // ------------------------------------------------------------- Context
 
+// A store takes its slot layout on the first write through a Context, so
+// a machine that never writes (a REGISTER's RTP machine, an RTCP-BYE
+// watcher that saw no BYE) holds no slot array at all.
+VariableStore& Context::mutable_local() {
+  if (!local_.has_slots()) local_.AddSlots(instance_.def().local_variables());
+  return local_;
+}
+
+VariableStore& Context::mutable_global() {
+  if (!global_.has_slots()) {
+    for (const auto& machine : instance_.group().machines()) {
+      global_.AddSlots(machine->def().global_variables());
+    }
+  }
+  return global_;
+}
+
 void Context::Emit(std::string_view channel, Event event) {
   instance_.EmitFrom(channel, std::move(event));
 }

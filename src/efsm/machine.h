@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -89,8 +90,12 @@ class Context {
   const Event& event() const { return event_; }
   const VariableStore& local() const { return local_; }
   const VariableStore& global() const { return global_; }
-  VariableStore& mutable_local() { return local_; }
-  VariableStore& mutable_global() { return global_; }
+  /// Writable scopes. The first write lays the store out from the
+  /// variables the machine definitions declare (MachineDef's
+  /// DeclareVariables): the local store from this machine's, the global
+  /// store from those of every machine in the group.
+  VariableStore& mutable_local();
+  VariableStore& mutable_global();
 
   // --- Action-side effects (routed through the owning instance) ---
   /// c!event: enqueue `event` on the named output channel.
@@ -164,6 +169,20 @@ class MachineDef {
     return TransitionBuilder(*this, from, std::move(event_name));
   }
 
+  /// Declares the variables this machine's actions write: `locals` into
+  /// each instance's own store, `globals` into its group's shared store.
+  /// A store is laid out from these lists on its first write (Context's
+  /// mutable_local / mutable_global), so the stores of a fully declared
+  /// machine are allocated once at their exact size. A key written without
+  /// a declaration still works; it only costs its store a growth step.
+  void DeclareVariables(std::initializer_list<ArgKey> locals,
+                        std::initializer_list<ArgKey> globals = {}) {
+    locals_.insert(locals_.end(), locals);
+    globals_.insert(globals_.end(), globals);
+  }
+  const std::vector<ArgKey>& local_variables() const { return locals_; }
+  const std::vector<ArgKey>& global_variables() const { return globals_; }
+
   /// Specification machines report unmatched events as deviations (anomaly
   /// evidence); attack-pattern machines set this false — for them a
   /// non-match just means "not this attack".
@@ -230,6 +249,8 @@ class MachineDef {
   std::string name_;
   std::vector<State> states_;
   std::vector<Transition> transitions_;
+  std::vector<ArgKey> locals_;
+  std::vector<ArgKey> globals_;
   StateId initial_ = kInvalidState;
   bool report_deviations_ = true;
   mutable Compiled compiled_;

@@ -1,6 +1,8 @@
 #include "efsm/value.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
@@ -9,8 +11,6 @@
 namespace vids::efsm {
 
 namespace {
-
-const Value kUnset{};
 
 // Append-only intern pool, shared by every engine in the process (ArgKey
 // ids cross thread boundaries: a shard worker's hook events are decoded by
@@ -203,72 +203,231 @@ size_t EventArgs::MemoryBytes() const {
 
 // -------------------------------------------------------- VariableStore
 
-void VariableStore::Set(ArgKey key, Value value) {
-  for (auto& [existing, stored] : values_) {
-    if (existing == key) {
-      stored = std::move(value);
+namespace {
+
+template <typename T>
+T LoadPayload(const char* payload) {
+  T value;
+  std::memcpy(&value, payload, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void StorePayload(char* payload, const T& value) {
+  std::memcpy(payload, &value, sizeof(T));
+}
+
+}  // namespace
+
+void VariableStore::AddSlots(std::span<const ArgKey> keys) {
+  size_t added = 0;
+  for (const ArgKey key : keys) {
+    if (FindSlot(key) == nullptr) ++added;
+  }
+  if (added == 0) return;
+  slots_.reserve(slots_.size() + added);
+  for (const ArgKey key : keys) {
+    if (FindSlot(key) == nullptr) slots_.push_back(Slot{key});
+  }
+}
+
+const VariableStore::Slot* VariableStore::FindSlot(ArgKey key) const {
+  for (const Slot& slot : slots_) {
+    if (slot.key == key) return &slot;
+  }
+  return nullptr;
+}
+
+VariableStore::Slot* VariableStore::FindSlot(ArgKey key) {
+  return const_cast<Slot*>(std::as_const(*this).FindSlot(key));
+}
+
+const VariableStore::Slot* VariableStore::FindSet(ArgKey key) const {
+  const Slot* slot = FindSlot(key);
+  return slot != nullptr && slot->tag != Tag::kUnset ? slot : nullptr;
+}
+
+std::string_view VariableStore::StringOf(const Slot& slot) const {
+  if (slot.tag == Tag::kInline) return {slot.payload, slot.inline_size};
+  const auto ref = LoadPayload<SpillRef>(slot.payload);
+  return {spill_.data() + ref.offset, ref.size};
+}
+
+void VariableStore::Set(ArgKey key, const Value& value) {
+  Slot* slot = FindSlot(key);
+  if (slot == nullptr) {
+    if (std::holds_alternative<std::monostate>(value)) return;
+    slot = &slots_.emplace_back(Slot{key});
+  }
+  if (const auto* text = std::get_if<std::string>(&value)) {
+    SetString(*slot, *text);
+    return;
+  }
+  if (const auto* i = std::get_if<int64_t>(&value)) {
+    slot->tag = Tag::kInt;
+    StorePayload(slot->payload, *i);
+  } else if (const auto* d = std::get_if<double>(&value)) {
+    slot->tag = Tag::kDouble;
+    StorePayload(slot->payload, *d);
+  } else if (const auto* b = std::get_if<bool>(&value)) {
+    slot->tag = Tag::kBool;
+    StorePayload(slot->payload, *b);
+  } else {
+    slot->tag = Tag::kUnset;
+  }
+}
+
+void VariableStore::SetString(Slot& slot, std::string_view text) {
+  if (text.size() <= kInlineBytes) {
+    slot.tag = Tag::kInline;
+    slot.inline_size = static_cast<uint8_t>(text.size());
+    std::memcpy(slot.payload, text.data(), text.size());
+    return;
+  }
+  if (slot.tag == Tag::kSpilled) {
+    auto ref = LoadPayload<SpillRef>(slot.payload);
+    if (text.size() <= ref.capacity) {  // overwrite in place
+      std::memcpy(spill_.data() + ref.offset, text.data(), text.size());
+      ref.size = static_cast<uint32_t>(text.size());
+      StorePayload(slot.payload, ref);
       return;
     }
+    slot.tag = Tag::kUnset;  // its old region is garbage from here on
   }
-  // A scope holds ~10 variables at steady state (TAB-MEM); one up-front
-  // reservation replaces the doubling growth a fresh call would otherwise
-  // pay while its first INVITE populates every scope.
-  if (values_.capacity() == 0) values_.reserve(8);
-  values_.emplace_back(key, std::move(value));
+  const SpillRef ref = AppendSpill(text);
+  slot.tag = Tag::kSpilled;
+  StorePayload(slot.payload, ref);
 }
 
-const Value& VariableStore::Get(ArgKey key) const {
-  for (const auto& [existing, stored] : values_) {
-    if (existing == key) return stored;
+VariableStore::SpillRef VariableStore::AppendSpill(std::string_view text) {
+  if (spill_.size() + text.size() > spill_.capacity()) {
+    // Rebuild the buffer from the strings still referenced, then grow it to
+    // a 32-byte multiple: a recycled group's next call, whose strings are a
+    // byte or two longer, still fits without reallocating.
+    size_t live = 0;
+    for (const Slot& slot : slots_) {
+      if (slot.tag == Tag::kSpilled) {
+        live += LoadPayload<SpillRef>(slot.payload).capacity;
+      }
+    }
+    std::vector<char> packed;
+    packed.reserve(std::max(spill_.capacity(),
+                            (live + text.size() + 31) & ~size_t{31}));
+    for (Slot& slot : slots_) {
+      if (slot.tag != Tag::kSpilled) continue;
+      auto ref = LoadPayload<SpillRef>(slot.payload);
+      const char* from = spill_.data() + ref.offset;
+      ref.offset = static_cast<uint32_t>(packed.size());
+      packed.insert(packed.end(), from, from + ref.capacity);
+      StorePayload(slot.payload, ref);
+    }
+    spill_.swap(packed);
   }
-  return kUnset;
+  const SpillRef ref{static_cast<uint32_t>(spill_.size()),
+                     static_cast<uint32_t>(text.size()),
+                     static_cast<uint32_t>(text.size())};
+  spill_.insert(spill_.end(), text.begin(), text.end());
+  return ref;
 }
 
-bool VariableStore::Has(ArgKey key) const {
-  for (const auto& [existing, stored] : values_) {
-    if (existing == key) return true;
+Value VariableStore::Get(ArgKey key) const {
+  const Slot* slot = FindSet(key);
+  if (slot == nullptr) return Value{};
+  switch (slot->tag) {
+    case Tag::kInt:
+      return LoadPayload<int64_t>(slot->payload);
+    case Tag::kDouble:
+      return LoadPayload<double>(slot->payload);
+    case Tag::kBool:
+      return LoadPayload<bool>(slot->payload);
+    case Tag::kInline:
+    case Tag::kSpilled:
+      return std::string(StringOf(*slot));
+    case Tag::kUnset:
+      break;
+  }
+  return Value{};
+}
+
+bool VariableStore::Has(ArgKey key) const { return FindSet(key) != nullptr; }
+
+bool VariableStore::Equals(ArgKey key, const Value& value) const {
+  const Slot* slot = FindSet(key);
+  if (slot == nullptr) return std::holds_alternative<std::monostate>(value);
+  switch (slot->tag) {
+    case Tag::kInt: {
+      const auto* i = std::get_if<int64_t>(&value);
+      return i != nullptr && *i == LoadPayload<int64_t>(slot->payload);
+    }
+    case Tag::kDouble: {
+      const auto* d = std::get_if<double>(&value);
+      return d != nullptr && *d == LoadPayload<double>(slot->payload);
+    }
+    case Tag::kBool: {
+      const auto* b = std::get_if<bool>(&value);
+      return b != nullptr && *b == LoadPayload<bool>(slot->payload);
+    }
+    case Tag::kInline:
+    case Tag::kSpilled: {
+      const auto* text = std::get_if<std::string>(&value);
+      return text != nullptr && *text == StringOf(*slot);
+    }
+    case Tag::kUnset:
+      break;
   }
   return false;
 }
 
 void VariableStore::Erase(ArgKey key) {
-  for (auto it = values_.begin(); it != values_.end(); ++it) {
-    if (it->first == key) {
-      values_.erase(it);
-      return;
-    }
-  }
+  if (Slot* slot = FindSlot(key)) slot->tag = Tag::kUnset;
+}
+
+void VariableStore::Clear() {
+  for (Slot& slot : slots_) slot.tag = Tag::kUnset;
+  spill_.clear();
+}
+
+size_t VariableStore::size() const {
+  return static_cast<size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const Slot& slot) { return slot.tag != Tag::kUnset; }));
 }
 
 std::optional<int64_t> VariableStore::GetInt(ArgKey key) const {
-  const auto* v = std::get_if<int64_t>(&Get(key));
-  return v ? std::optional<int64_t>(*v) : std::nullopt;
+  const Slot* slot = FindSet(key);
+  if (slot == nullptr || slot->tag != Tag::kInt) return std::nullopt;
+  return LoadPayload<int64_t>(slot->payload);
 }
 
 std::optional<double> VariableStore::GetDouble(ArgKey key) const {
-  const auto* v = std::get_if<double>(&Get(key));
-  return v ? std::optional<double>(*v) : std::nullopt;
+  const Slot* slot = FindSet(key);
+  if (slot == nullptr || slot->tag != Tag::kDouble) return std::nullopt;
+  return LoadPayload<double>(slot->payload);
 }
 
 std::optional<std::string> VariableStore::GetString(ArgKey key) const {
-  const auto* v = std::get_if<std::string>(&Get(key));
-  return v ? std::optional<std::string>(*v) : std::nullopt;
+  const auto view = GetStringView(key);
+  return view ? std::optional<std::string>(std::string(*view)) : std::nullopt;
+}
+
+std::optional<std::string_view> VariableStore::GetStringView(
+    ArgKey key) const {
+  const Slot* slot = FindSet(key);
+  if (slot == nullptr ||
+      (slot->tag != Tag::kInline && slot->tag != Tag::kSpilled)) {
+    return std::nullopt;
+  }
+  return StringOf(*slot);
 }
 
 std::optional<bool> VariableStore::GetBool(ArgKey key) const {
-  const auto* v = std::get_if<bool>(&Get(key));
-  return v ? std::optional<bool>(*v) : std::nullopt;
+  const Slot* slot = FindSet(key);
+  if (slot == nullptr || slot->tag != Tag::kBool) return std::nullopt;
+  return LoadPayload<bool>(slot->payload);
 }
 
 size_t VariableStore::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += values_.capacity() * sizeof(std::pair<ArgKey, Value>);
-  for (const auto& [key, value] : values_) {
-    if (const auto* s = std::get_if<std::string>(&value)) {
-      bytes += s->capacity();
-    }
-  }
-  return bytes;
+  return slots_.capacity() * sizeof(Slot) + spill_.capacity();
 }
 
 }  // namespace vids::efsm

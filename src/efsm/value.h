@@ -10,13 +10,18 @@
 //
 // Argument and variable names are interned once into a process-wide ArgKey
 // table, so the per-packet hot path compares 16-bit integers instead of
-// hashing strings, and both EventArgs and VariableStore are flat arrays
-// with inline capacity — steady-state packet inspection allocates nothing.
+// hashing strings. EventArgs is a flat array with inline capacity. A
+// VariableStore is an array of 24-byte slots laid out from the variables
+// its machine definition declares, with strings longer than a slot's
+// inline payload in one per-store spill buffer. A call's variables cost
+// one slot each, and steady-state packet inspection (and a recycled call
+// group's next call) allocates nothing.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -136,28 +141,54 @@ class EventArgs {
   std::vector<Entry> heap_;
 };
 
-/// One variable scope (local or global). Same flat interned-key layout as
-/// EventArgs: the per-call variable count observed in TAB-MEM runs is ~10,
-/// where a linear scan over 16-bit ids is both the fastest and the smallest
-/// representation.
+/// One variable scope (local or global) in a compact slot layout: each
+/// variable is one 24-byte Slot holding its key, a type tag and an inline
+/// payload. Ints, doubles, bools and strings of up to kInlineBytes bytes
+/// (every IP, port, codec, Call-ID and most tags) live in the slot itself;
+/// a longer string is copied into the store's spill buffer and the slot
+/// holds its offset, length and reserved capacity there.
+///
+/// The slot array is laid out by AddSlots from the variables a MachineDef
+/// declares, on the store's first write, so a declared machine's store is
+/// allocated once at its exact size and never grows; a key nobody declared
+/// still works and appends a slot on its first Set. Clear() unsets every
+/// slot and empties the spill buffer but keeps both allocations, so a
+/// recycled call group writes its next call's variables without touching
+/// the heap. Lookup is a linear scan over 16-bit keys — a scope holds at
+/// most a dozen variables.
 class VariableStore {
  public:
-  void Set(ArgKey key, Value value);
-  void Set(std::string_view name, Value value) {
-    Set(ArgKey::Intern(name), std::move(value));
+  /// Strings up to this many bytes are stored inline in their slot.
+  static constexpr size_t kInlineBytes = 20;
+
+  /// Lays out an unset slot for every key of `keys` the store does not
+  /// hold yet, growing the slot array to exactly its new size.
+  void AddSlots(std::span<const ArgKey> keys);
+  /// False until the first slot is laid out (or the first Set).
+  bool has_slots() const { return !slots_.empty(); }
+
+  /// Stores `value`; storing monostate unsets the variable.
+  void Set(ArgKey key, const Value& value);
+  void Set(std::string_view name, const Value& value) {
+    Set(ArgKey::Intern(name), value);
   }
 
-  /// Unset variables read as monostate.
-  const Value& Get(ArgKey key) const;
-  const Value& Get(std::string_view name) const {
-    return Get(ArgKey::Intern(name));
-  }
+  /// An owning copy of the variable (monostate when unset). It copies
+  /// strings: the packet path reads through the typed getters, Equals and
+  /// GetStringView instead.
+  Value Get(ArgKey key) const;
+  Value Get(std::string_view name) const { return Get(ArgKey::Intern(name)); }
   bool Has(ArgKey key) const;
   bool Has(std::string_view name) const { return Has(ArgKey::Intern(name)); }
+  /// The variable compared with `value` under Value equality: same
+  /// alternative and equal payload, and an unset variable equals monostate.
+  bool Equals(ArgKey key, const Value& value) const;
   void Erase(ArgKey key);
   void Erase(std::string_view name) { Erase(ArgKey::Intern(name)); }
-  void Clear() { values_.clear(); }
-  size_t size() const { return values_.size(); }
+  /// Unsets every variable; the slot layout and spill capacity are kept.
+  void Clear();
+  /// The number of set variables.
+  size_t size() const;
 
   // Typed readers returning nullopt when absent or of another type.
   std::optional<int64_t> GetInt(ArgKey key) const;
@@ -172,21 +203,46 @@ class VariableStore {
   std::optional<std::string> GetString(std::string_view name) const {
     return GetString(ArgKey::Intern(name));
   }
+  /// Zero-copy string read, valid until the store's next mutation.
+  std::optional<std::string_view> GetStringView(ArgKey key) const;
   std::optional<bool> GetBool(ArgKey key) const;
   std::optional<bool> GetBool(std::string_view name) const {
     return GetBool(ArgKey::Intern(name));
   }
 
-  /// Approximate heap + inline footprint, for the TAB-MEM experiment.
+  /// Heap footprint (slot array and spill buffer), for the TAB-MEM
+  /// experiment. The object itself is counted by whatever embeds it.
   size_t MemoryBytes() const;
 
-  /// The variables in insertion order (traces, memory accounting).
-  const std::vector<std::pair<ArgKey, Value>>& values() const {
-    return values_;
-  }
-
  private:
-  std::vector<std::pair<ArgKey, Value>> values_;
+  enum class Tag : uint8_t { kUnset, kInt, kDouble, kBool, kInline, kSpilled };
+  struct Slot {
+    ArgKey key;
+    Tag tag = Tag::kUnset;
+    uint8_t inline_size = 0;  // kInline: string length
+    // kInt/kDouble/kBool: the value; kInline: the characters; kSpilled: a
+    // SpillRef. Accessed through memcpy, so the slot stays 2-byte aligned.
+    char payload[kInlineBytes] = {};
+  };
+  static_assert(sizeof(Slot) == 24, "a variable slot is 24 bytes");
+  struct SpillRef {
+    uint32_t offset;
+    uint32_t size;
+    uint32_t capacity;  // bytes reserved at offset; reused by later Sets
+  };
+
+  Slot* FindSlot(ArgKey key);
+  const Slot* FindSlot(ArgKey key) const;
+  const Slot* FindSet(ArgKey key) const;
+  std::string_view StringOf(const Slot& slot) const;
+  void SetString(Slot& slot, std::string_view text);
+  /// Copies `text` to the end of the spill buffer, first compacting away
+  /// the regions of overwritten and erased strings when the buffer would
+  /// otherwise have to grow.
+  SpillRef AppendSpill(std::string_view text);
+
+  std::vector<Slot> slots_;
+  std::vector<char> spill_;
 };
 
 }  // namespace vids::efsm

@@ -33,25 +33,12 @@ sim::Duration BehaviorConfig::IdleHorizon() const {
   return horizon;
 }
 
-void BehaviorEngine::Profile::Reset() {
-  last_event_ns = INT64_MIN;
-  last_alert_ns = INT64_MIN;
-  call_rate.Reset();
-  short_calls.Reset();
-  fanout.Reset();
-  user_agents.Reset();
-  open_calls.fill(OpenCall{});
-  durations = obs::Histogram{};
-  reg_failures.Reset();
-  reg_sources.Reset();
-}
-
 BehaviorEngine::BehaviorEngine(const BehaviorConfig& config)
     : config_(config) {}
 
-BehaviorEngine::Profile* BehaviorEngine::Find(ProfileTable& table,
-                                              std::string_view key,
-                                              int64_t t) {
+template <typename Profile>
+Profile* BehaviorEngine::Find(ProfileTable<Profile>& table,
+                              std::string_view key, int64_t t) {
   const auto it = table.map.find(key);
   if (it == table.map.end()) return nullptr;
   it->second->last_event_ns = t;
@@ -59,19 +46,19 @@ BehaviorEngine::Profile* BehaviorEngine::Find(ProfileTable& table,
   return it->second.get();
 }
 
-BehaviorEngine::Profile& BehaviorEngine::GetOrCreate(ProfileTable& table,
-                                                     std::string_view key,
-                                                     int64_t t) {
+template <typename Profile>
+Profile& BehaviorEngine::GetOrCreate(ProfileTable<Profile>& table,
+                                     std::string_view key, int64_t t) {
   if (Profile* existing = Find(table, key, t)) return *existing;
   std::unique_ptr<Profile> profile;
-  if (!pool_.empty()) {
-    profile = std::move(pool_.back());
-    pool_.pop_back();
+  if (!table.pool.empty()) {
+    profile = std::move(table.pool.back());
+    table.pool.pop_back();
   } else {
     profile = std::make_unique<Profile>();
   }
   profile->last_event_ns = t;
-  ProfileNode& node =
+  ProfileNode<Profile>& node =
       *table.map.emplace(std::string(key), std::move(profile)).first;
   table.ages.Insert(node);
   return *node.second;
@@ -83,7 +70,7 @@ void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
                                  uint64_t call_hash) {
   if (!config_.enabled || caller.empty()) return;
   const int64_t t = now.nanos();
-  Profile& p = GetOrCreate(callers_, caller, t);
+  CallerProfile& p = GetOrCreate(callers_, caller, t);
   p.call_rate.Touch(t, config_.call_rate_window.nanos());
   if (!dest.empty()) p.fanout.Touch(HashKey(dest), t);
   if (!user_agent.empty()) p.user_agents.Touch(HashKey(user_agent), t);
@@ -115,14 +102,14 @@ void BehaviorEngine::OnCallEnd(sim::Time now, std::string_view caller,
                                uint64_t call_hash) {
   if (!config_.enabled || caller.empty()) return;
   const int64_t t = now.nanos();
-  Profile* p = Find(callers_, caller, t);
+  CallerProfile* p = Find(callers_, caller, t);
   if (p == nullptr) return;  // callee-sent BYE or long-idle caller
   const int64_t ttl = config_.open_call_ttl.nanos();
   for (OpenCall& slot : p->open_calls) {
     if (slot.start_ns == INT64_MIN || slot.hash != call_hash) continue;
     if (t - slot.start_ns <= ttl) {
       const int64_t duration_ns = t - slot.start_ns;
-      p->durations.Record(duration_ns / 1'000'000);  // ms
+      durations_.Record(duration_ns / 1'000'000);  // ms
       if (duration_ns <= config_.short_call_max.nanos()) {
         p->short_calls.Touch(t, config_.short_call_window.nanos());
       }
@@ -137,7 +124,7 @@ void BehaviorEngine::OnRegFailure(sim::Time now, std::string_view target,
                                   uint64_t source_hash) {
   if (!config_.enabled || target.empty()) return;
   const int64_t t = now.nanos();
-  Profile& p = GetOrCreate(targets_, target, t);
+  TargetProfile& p = GetOrCreate(targets_, target, t);
   p.reg_failures.Touch(t, config_.reg_failure_window.nanos());
   p.reg_sources.Touch(source_hash, t);
   ScoreTarget(p, target, t);
@@ -147,13 +134,13 @@ void BehaviorEngine::OnRegSuccess(sim::Time now, std::string_view target) {
   if (!config_.enabled || target.empty()) return;
   // A successful registration breaks the cracking streak. Only an existing
   // profile matters — success with no failure history builds no state.
-  Profile* p = Find(targets_, target, now.nanos());
+  TargetProfile* p = Find(targets_, target, now.nanos());
   if (p == nullptr) return;
   p->reg_failures.Reset();
   p->reg_sources.Reset();
 }
 
-void BehaviorEngine::ScoreCaller(Profile& p, std::string_view caller,
+void BehaviorEngine::ScoreCaller(CallerProfile& p, std::string_view caller,
                                  int64_t t) {
   const int64_t rate = p.call_rate.Count(t);
   const int64_t shorts = p.short_calls.Count(t);
@@ -189,10 +176,11 @@ void BehaviorEngine::ScoreCaller(Profile& p, std::string_view caller,
   AppendFeature(detail, "fanout", fanout, c_fanout, false);
   AppendFeature(detail, "ua", uas, c_ua, false);
   detail += ')';
-  Emit(p, "caller|", caller, classification, t, score, std::move(detail));
+  Emit(p.last_alert_ns, "caller|", caller, classification, t, score,
+       std::move(detail));
 }
 
-void BehaviorEngine::ScoreTarget(Profile& p, std::string_view target,
+void BehaviorEngine::ScoreTarget(TargetProfile& p, std::string_view target,
                                  int64_t t) {
   const int64_t failures = p.reg_failures.Count(t);
   const int64_t sources =
@@ -215,14 +203,16 @@ void BehaviorEngine::ScoreTarget(Profile& p, std::string_view target,
   AppendFeature(detail, "reg_failures", failures, c_fail, true);
   AppendFeature(detail, "reg_sources", sources, c_src, false);
   detail += ')';
-  Emit(p, "reg|", target, kBehaviorRegCracking, t, score, std::move(detail));
+  Emit(p.last_alert_ns, "reg|", target, kBehaviorRegCracking, t, score,
+       std::move(detail));
 }
 
-void BehaviorEngine::Emit(Profile& p, std::string_view group_prefix,
+void BehaviorEngine::Emit(int64_t& last_alert_ns,
+                          std::string_view group_prefix,
                           std::string_view entity,
                           std::string_view classification, int64_t t,
                           int64_t score, std::string detail) {
-  p.last_alert_ns = t;
+  last_alert_ns = t;
   ++alerts_emitted_;
   Alert alert;
   alert.when = sim::Time::FromNanos(t);
@@ -238,58 +228,44 @@ void BehaviorEngine::Emit(Profile& p, std::string_view group_prefix,
   if (sink_) sink_(std::move(alert));
 }
 
+template <typename Profile>
+void BehaviorEngine::Reclaim(ProfileTable<Profile>& table, int64_t t,
+                             int64_t horizon) {
+  while (ProfileNode<Profile>* oldest = table.ages.oldest()) {
+    if (t - oldest->second->last_event_ns <= horizon) break;
+    table.ages.Unlink(*oldest);
+    const auto it = table.map.find(oldest->first);
+    if (table.pool.size() < config_.profile_pool_cap) {
+      *it->second = Profile{};
+      table.pool.push_back(std::move(it->second));
+    }
+    table.map.erase(it);
+  }
+}
+
 void BehaviorEngine::Sweep(sim::Time now) {
   const int64_t horizon = config_.IdleHorizon().nanos();
-  const int64_t t = now.nanos();
-  const auto reclaim = [&](ProfileTable& table) {
-    while (ProfileNode* oldest = table.ages.oldest()) {
-      Profile& p = *oldest->second;
-      if (t - p.last_event_ns <= horizon) break;
-      retired_durations_.MergeFrom(p.durations);
-      table.ages.Unlink(*oldest);
-      const auto it = table.map.find(oldest->first);
-      if (pool_.size() < config_.profile_pool_cap) {
-        p.Reset();
-        pool_.push_back(std::move(it->second));
-      }
-      table.map.erase(it);
-    }
-  };
-  reclaim(callers_);
-  reclaim(targets_);
+  Reclaim(callers_, now.nanos(), horizon);
+  Reclaim(targets_, now.nanos(), horizon);
 }
 
 std::vector<std::string> BehaviorEngine::DueSurvivors(sim::Time now) const {
   const int64_t horizon = config_.IdleHorizon().nanos();
   std::vector<std::string> due;
-  for (const ProfileTable* table : {&callers_, &targets_}) {
-    for (const auto& [key, profile] : table->map) {
+  const auto audit = [&](const auto& table) {
+    for (const auto& [key, profile] : table.map) {
       if (now.nanos() - profile->last_event_ns > horizon) {
         due.push_back("idle behavior profile " + key);
       }
     }
-  }
+  };
+  audit(callers_);
+  audit(targets_);
   return due;
 }
 
 size_t BehaviorEngine::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  const auto count = [&](const ProfileTable& table) {
-    for (const auto& [key, profile] : table.map) {
-      bytes += key.capacity() + sizeof(Profile);
-    }
-  };
-  count(callers_);
-  count(targets_);
-  bytes += pool_.size() * sizeof(Profile);
-  return bytes;
-}
-
-void BehaviorEngine::MergeDurationHistogram(obs::Histogram& into) const {
-  into.MergeFrom(retired_durations_);
-  for (const auto& [key, profile] : callers_.map) {
-    into.MergeFrom(profile->durations);
-  }
+  return sizeof(*this) + callers_.MemoryBytes() + targets_.MemoryBytes();
 }
 
 }  // namespace vids::ids::behavior

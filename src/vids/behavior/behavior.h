@@ -3,13 +3,15 @@
 // The spec machines only catch deviations from the protocol specification;
 // attacks that stay protocol-legal — SPIT call blasting, distributed
 // registration cracking, low-and-slow toll-fraud fan-out — pass them clean.
-// This engine profiles *who* is talking instead of *how*: per-caller and
-// per-registration-target sliding-window profiles (call rate, short-call
-// mass, destination fan-out, User-Agent diversity, failed-registration
-// streaks and their distinct-source spread, call-duration distribution on
-// the obs log2 histogram) feed a weighted integer scoring function that
-// emits severity-ranked AlertKind::kBehavior alerts carrying the full
-// per-feature score breakdown as provenance.
+// This engine profiles *who* is talking instead of *how*: sliding-window
+// caller profiles (call rate, short-call mass, destination fan-out,
+// User-Agent diversity) and registration-target profiles (failed-
+// registration streaks and their distinct-source spread) — two separate
+// types, so neither carries the other's features — feed a weighted
+// integer scoring function that emits severity-ranked AlertKind::kBehavior
+// alerts carrying the full per-feature score breakdown as provenance.
+// Caller-terminated call durations go to one engine-wide obs log2
+// histogram (observability only, never scored).
 //
 // Determinism contract (the shard-equivalence argument, DESIGN.md §16):
 // every state transition in this engine is a pure function of the event
@@ -112,7 +114,8 @@ struct BehaviorConfig {
   /// sweep-independence argument (see IdleHorizon).
   sim::Duration open_call_ttl = sim::Duration::Seconds(120);
 
-  /// Retired profiles kept for reuse (fact_base recycle-pool discipline).
+  /// Retired profiles kept for reuse per family (caller, registration
+  /// target) — the fact_base recycle-pool discipline.
   size_t profile_pool_cap = 256;
 
   /// The profile reclaim horizon: the maximum of every feature window, the
@@ -164,15 +167,18 @@ class BehaviorEngine {
   size_t profile_count() const {
     return callers_.map.size() + targets_.map.size();
   }
-  size_t pool_size() const { return pool_.size(); }
+  size_t pool_size() const {
+    return callers_.pool.size() + targets_.pool.size();
+  }
   uint64_t alerts_emitted() const { return alerts_emitted_; }
   uint64_t cooldown_suppressed() const { return cooldown_suppressed_; }
   size_t MemoryBytes() const;
 
-  /// Folds every live profile's call-duration histogram (milliseconds,
-  /// caller-terminated calls) plus the durations of already-reclaimed
-  /// profiles into `into`.
-  void MergeDurationHistogram(obs::Histogram& into) const;
+  /// Folds the call-duration histogram (milliseconds, caller-terminated
+  /// calls, every profile live or reclaimed) into `into`.
+  void MergeDurationHistogram(obs::Histogram& into) const {
+    into.MergeFrom(durations_);
+  }
 
   /// FNV-1a 64 — stable across processes (unlike std::hash), so two
   /// separately-run engines fed the same stream keep identical ring
@@ -253,59 +259,85 @@ class BehaviorEngine {
     int64_t start_ns = INT64_MIN;  // INT64_MIN = empty slot
   };
 
-  struct Profile;
+  template <typename Profile>
   using ProfileNode = std::pair<const std::string, std::unique_ptr<Profile>>;
-  struct Profile {
+
+  /// A caller's features (key = caller AOR, From user@host).
+  struct CallerProfile {
     int64_t last_event_ns = INT64_MIN;
-    common::AgeLinks<ProfileNode> age;  // cleared by AgeList::Unlink
+    common::AgeLinks<ProfileNode<CallerProfile>> age;  // cleared by Unlink
     int64_t last_alert_ns = INT64_MIN;
-    // Caller features.
     WindowCounter call_rate;
     WindowCounter short_calls;
     DistinctWindow<64> fanout;
     DistinctWindow<8> user_agents;
     std::array<OpenCall, 16> open_calls{};
-    obs::Histogram durations;  // ms; observability only, never scored
-    // Registration-target features.
+  };
+  /// A registration target's features (key = target AOR, To user@host).
+  struct TargetProfile {
+    int64_t last_event_ns = INT64_MIN;
+    common::AgeLinks<ProfileNode<TargetProfile>> age;  // cleared by Unlink
+    int64_t last_alert_ns = INT64_MIN;
     WindowCounter reg_failures;
     DistinctWindow<32> reg_sources;
-
-    void Reset();
   };
 
-  using ProfileMap = std::unordered_map<std::string, std::unique_ptr<Profile>,
-                                        common::StringHash, std::equal_to<>>;
+  template <typename Profile>
   struct ByLastEvent {
-    static auto& Links(ProfileNode& node) { return node.second->age; }
-    static int64_t Stamp(const ProfileNode& node) {
+    static auto& Links(ProfileNode<Profile>& node) { return node.second->age; }
+    static int64_t Stamp(const ProfileNode<Profile>& node) {
       return node.second->last_event_ns;
     }
   };
-  /// One profile family: the map and its oldest-first order.
+  /// One profile family: the map, its oldest-first order and the reclaimed
+  /// profiles parked for reuse.
+  template <typename Profile>
   struct ProfileTable {
-    ProfileMap map;
-    common::AgeList<ProfileNode, ByLastEvent> ages;
+    std::unordered_map<std::string, std::unique_ptr<Profile>,
+                       common::StringHash, std::equal_to<>>
+        map;
+    common::AgeList<ProfileNode<Profile>, ByLastEvent<Profile>> ages;
+    std::vector<std::unique_ptr<Profile>> pool;
+
+    /// Live and pooled profiles, keys included.
+    size_t MemoryBytes() const {
+      size_t bytes = pool.size() * sizeof(Profile);
+      for (const auto& [key, profile] : map) {
+        bytes += key.capacity() + sizeof(Profile);
+      }
+      return bytes;
+    }
   };
 
   /// Existing profile, stamped with event time `t`, or nullptr — the
   /// allocation-free steady-state probe.
-  Profile* Find(ProfileTable& table, std::string_view key, int64_t t);
+  template <typename Profile>
+  static Profile* Find(ProfileTable<Profile>& table, std::string_view key,
+                       int64_t t);
   /// Existing or pool-recycled/new profile, stamped with `t` (creation
   /// path).
-  Profile& GetOrCreate(ProfileTable& table, std::string_view key, int64_t t);
+  template <typename Profile>
+  static Profile& GetOrCreate(ProfileTable<Profile>& table,
+                              std::string_view key, int64_t t);
+  /// Moves every profile of `table` idle past `horizon` at `t` to its pool
+  /// (up to profile_pool_cap) or frees it.
+  template <typename Profile>
+  void Reclaim(ProfileTable<Profile>& table, int64_t t, int64_t horizon);
 
-  void ScoreCaller(Profile& profile, std::string_view caller, int64_t t);
-  void ScoreTarget(Profile& profile, std::string_view target, int64_t t);
-  void Emit(Profile& profile, std::string_view group_prefix,
+  void ScoreCaller(CallerProfile& profile, std::string_view caller,
+                   int64_t t);
+  void ScoreTarget(TargetProfile& profile, std::string_view target,
+                   int64_t t);
+  /// Emits one alert; stamps `last_alert_ns`, the profile's cooldown.
+  void Emit(int64_t& last_alert_ns, std::string_view group_prefix,
             std::string_view entity, std::string_view classification,
             int64_t t, int64_t score, std::string detail);
 
   BehaviorConfig config_;
   AlertSink sink_;
-  ProfileTable callers_;  // key = caller AOR (From user@host)
-  ProfileTable targets_;  // key = registration target AOR (To user@host)
-  std::vector<std::unique_ptr<Profile>> pool_;
-  obs::Histogram retired_durations_;  // folded in from reclaimed profiles
+  ProfileTable<CallerProfile> callers_;
+  ProfileTable<TargetProfile> targets_;
+  obs::Histogram durations_;  // ms; observability only, never scored
   uint64_t alerts_emitted_ = 0;
   uint64_t cooldown_suppressed_ = 0;
 };

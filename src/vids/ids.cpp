@@ -316,11 +316,10 @@ void Vids::FeedAggregate(const AggregateEvent& event) {
 void Vids::RefreshMediaIndex(efsm::MachineGroup& group,
                              const std::string& call_id) {
   const auto index_one = [&](efsm::ArgKey ip_key, efsm::ArgKey port_key) {
-    const efsm::Value& ip = group.global().Get(ip_key);
+    const auto ip = group.global().GetStringView(ip_key);
     const auto port = group.global().GetInt(port_key);
-    const auto* ip_str = std::get_if<std::string>(&ip);
-    if (ip_str == nullptr || !port) return;
-    if (const auto addr = net::IpAddress::Parse(*ip_str)) {
+    if (!ip || !port) return;
+    if (const auto addr = net::IpAddress::Parse(*ip)) {
       fact_base_.IndexMedia(
           net::Endpoint{*addr, static_cast<uint16_t>(*port)}, call_id);
     }

@@ -84,6 +84,7 @@ void BuildWindowCounter(MachineDef& def, const std::string& event_name,
   const auto attack =
       def.AddState(std::string(attack_label), StateKind::kAttack);
   const auto timer_event = efsm::TimerEventName("T1");
+  def.DeclareVariables({kPckCounter});
 
   def.On(init, event_name)
       .Do([window](Context& c) {
@@ -160,6 +161,7 @@ MachineDef BuildMediaSpamMachine(const DetectionConfig& config) {
   const int64_t seq_gap = config.spam_seq_gap;
   const int64_t ts_gap = config.spam_ts_gap;
   const int64_t regress_limit = config.spam_regress_threshold;
+  def.DeclareVariables({kVSsrc, kVSeq, kVTs, kVRegress});
 
   // Fig. 6 rule, hardened against two legitimate phenomena:
   //  * VAD talkspurts jump the timestamp with the marker bit set
@@ -244,6 +246,7 @@ MachineDef BuildRtcpByeMachine(const DetectionConfig& config) {
   const std::string rtp(kRtpEvent);
   const sim::Duration grace = config.bye_inflight_grace;
   const sim::Duration linger = config.rtp_close_linger;
+  def.DeclareVariables({kVSsrc});
 
   const auto is_bye = [](const Context& c) {
     const std::string* kind = c.event().ArgStr(argkey::kKind);
@@ -291,6 +294,7 @@ MachineDef BuildCancelDosMachine(const DetectionConfig&) {
       def.AddState(std::string(kAttackCancelDos), StateKind::kAttack);
   const auto done = def.AddState("Done", StateKind::kFinal);
   const std::string sip(kSipEvent);
+  def.DeclareVariables({kVSrcIp});
 
   def.On(init, sip)
       .When([](const Context& c) { return IsRequest(c, "INVITE"); })
@@ -303,13 +307,13 @@ MachineDef BuildCancelDosMachine(const DetectionConfig&) {
   def.On(pending, sip)
       .When([](const Context& c) {
         return IsRequest(c, "CANCEL") &&
-               c.event().Arg(argkey::kSrcIp) == c.local().Get(kVSrcIp);
+               c.local().Equals(kVSrcIp, c.event().Arg(argkey::kSrcIp));
       })
       .To(done, "caller cancelled its own INVITE");
   def.On(pending, sip)
       .When([](const Context& c) {
         return IsRequest(c, "CANCEL") &&
-               !(c.event().Arg(argkey::kSrcIp) == c.local().Get(kVSrcIp));
+               !c.local().Equals(kVSrcIp, c.event().Arg(argkey::kSrcIp));
       })
       .To(attack, "CANCEL from a source other than the caller");
   def.On(pending, sip)
@@ -328,16 +332,15 @@ MachineDef BuildHijackMachine(const DetectionConfig&) {
       def.AddState(std::string(kAttackHijack), StateKind::kAttack);
   const auto done = def.AddState("Done", StateKind::kFinal);
   const std::string sip(kSipEvent);
+  def.DeclareVariables({kVCallerTag, kVCalleeTag});
 
   const auto known_tag = [](const Context& c) {
     const std::string* tag = c.event().ArgStr(argkey::kFromTag);
     if (tag == nullptr) return false;
-    const std::string* caller =
-        std::get_if<std::string>(&c.local().Get(kVCallerTag));
-    if (caller != nullptr && *caller == *tag) return true;
-    const std::string* callee =
-        std::get_if<std::string>(&c.local().Get(kVCalleeTag));
-    return callee != nullptr && *callee == *tag;
+    const auto caller = c.local().GetStringView(kVCallerTag);
+    if (caller && *caller == *tag) return true;
+    const auto callee = c.local().GetStringView(kVCalleeTag);
+    return callee && *callee == *tag;
   };
 
   def.On(init, sip)

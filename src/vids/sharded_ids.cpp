@@ -167,9 +167,9 @@ void ShardedIds::PushUp(Shard& shard, Fill&& fill) {
     // quiet between Ingest/Pump calls — back off to a short sleep instead
     // of spinning.
     shard.up.CommitPushN();
+    ++shard.up_stalls;
     common::SpinBackoff backoff;
     do {
-      ++shard.up_stalls;
       backoff.Pause();
       slot = shard.up.BeginPushN();
     } while (slot == nullptr);
@@ -443,9 +443,9 @@ void ShardedIds::Push(int shard_index, Fill&& fill) {
     // progress — this pair of rules is what makes the ring cycle
     // deadlock-free.
     CommitAll(FlushReason::kFull);
+    m_stalls_->Inc();
+    ++shard.ring_stalls;
     do {
-      m_stalls_->Inc();
-      ++shard.ring_stalls;
       DrainUp();
       std::this_thread::yield();
       slot = shard.ring.BeginPushN();

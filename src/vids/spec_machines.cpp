@@ -12,6 +12,7 @@ using efsm::Event;
 using efsm::MachineDef;
 using efsm::StateKind;
 using efsm::Value;
+using efsm::VariableStore;
 
 // Interned keys for the local variables the spec machines maintain. All
 // predicate helpers below run once per inspected packet, so every name
@@ -96,18 +97,17 @@ void ExportClose(Context& c) {
 }
 
 // RTP event's destination equals the media endpoint stored under the
-// given ip/port global variables.
+// given ip/port global variables. A missing event argument never matches,
+// not even an unset variable.
 bool DstIsMediaEndpoint(const Context& c, ArgKey ip_key, ArgKey port_key) {
-  const Value& ip = c.global().Get(ip_key);
-  const Value& port = c.global().Get(port_key);
-  if (std::holds_alternative<std::monostate>(ip) ||
-      std::holds_alternative<std::monostate>(port)) {
+  const Value& dst_ip = c.event().Arg(argkey::kDstIp);
+  const Value& dst_port = c.event().Arg(argkey::kDstPort);
+  if (std::holds_alternative<std::monostate>(dst_ip) ||
+      std::holds_alternative<std::monostate>(dst_port)) {
     return false;
   }
-  // A missing event argument reads as monostate and the guards above make
-  // the comparison false, matching the old optional-based semantics.
-  return c.event().Arg(argkey::kDstIp) == ip &&
-         c.event().Arg(argkey::kDstPort) == port;
+  const VariableStore& g = c.global();
+  return g.Equals(ip_key, dst_ip) && g.Equals(port_key, dst_port);
 }
 
 bool MatchesSession(const Context& c) {
@@ -140,9 +140,8 @@ void NoteStream(Context& c) {
 }
 
 bool FromCloseInitiator(const Context& c) {
-  const std::string* closer =
-      std::get_if<std::string>(&c.global().Get(gkey::kCloseSrcIp));
-  if (closer == nullptr) return false;
+  const auto closer = c.global().GetStringView(gkey::kCloseSrcIp);
+  if (!closer) return false;
   const std::string* src = c.event().ArgStr(argkey::kSrcIp);
   return src != nullptr && *src == *closer;
 }
@@ -166,6 +165,11 @@ MachineDef BuildSipSpecMachine(const DetectionConfig&) {
   const auto reg_done = def.AddState("Registered", StateKind::kFinal);
   const auto querying = def.AddState("Querying");
   const auto query_done = def.AddState("Query-Closed", StateKind::kFinal);
+  def.DeclareVariables(
+      {lkey::kCallId, lkey::kFromTag, lkey::kBranch, lkey::kToTag},
+      {kGCallerIp, kGCalleeIp, gkey::kOfferIp, gkey::kOfferPort,
+       gkey::kOfferPt, gkey::kOfferCodec, gkey::kAnswerIp, gkey::kAnswerPort,
+       gkey::kAnswerPt, gkey::kAnswerCodec, gkey::kCloseSrcIp});
 
   const std::string sip(kSipEvent);
 
@@ -334,14 +338,21 @@ MachineDef BuildRtpSpecMachine(const DetectionConfig& config) {
   const sim::Duration grace = config.bye_inflight_grace;
   const sim::Duration linger = config.rtp_close_linger;
 
-  const auto store_media = [](std::string_view prefix) {
-    struct Keys {
-      ArgKey ip, port, pt;
-    };
-    const Keys keys{
-        ArgKey::Intern("l_" + std::string(prefix) + "_ip"),
-        ArgKey::Intern("l_" + std::string(prefix) + "_port"),
-        ArgKey::Intern("l_" + std::string(prefix) + "_pt")};
+  struct MediaLocals {
+    ArgKey ip, port, pt;
+  };
+  const auto media_locals = [](std::string_view prefix) {
+    return MediaLocals{ArgKey::Intern("l_" + std::string(prefix) + "_ip"),
+                       ArgKey::Intern("l_" + std::string(prefix) + "_port"),
+                       ArgKey::Intern("l_" + std::string(prefix) + "_pt")};
+  };
+  const MediaLocals offer_locals = media_locals("offer");
+  const MediaLocals answer_locals = media_locals("answer");
+  def.DeclareVariables({offer_locals.ip, offer_locals.port, offer_locals.pt,
+                        answer_locals.ip, answer_locals.port, answer_locals.pt,
+                        lkey::kFwdSsrc, lkey::kFwdSeq, lkey::kFwdTs,
+                        lkey::kRevSsrc, lkey::kRevSeq, lkey::kRevTs});
+  const auto store_media = [](const MediaLocals& keys) {
     return [keys](Context& c) {
       auto& l = c.mutable_local();
       l.Set(keys.ip, c.event().Arg(argkey::kIp));
@@ -352,11 +363,11 @@ MachineDef BuildRtpSpecMachine(const DetectionConfig& config) {
 
   // INIT: only the δ from the SIP machine opens the RTP context (Fig. 2(a)).
   def.On(init, offer)
-      .Do(store_media("offer"))
+      .Do(store_media(offer_locals))
       .To(open, "δ(SIP→RTP): media offer; RTP state initialized");
 
   def.On(open, answer)
-      .Do(store_media("answer"))
+      .Do(store_media(answer_locals))
       .To(ready, "δ(SIP→RTP): media answer");
   def.On(open, rtp)
       .When([](const Context& c) {
@@ -394,7 +405,7 @@ MachineDef BuildRtpSpecMachine(const DetectionConfig& config) {
   // Early media: the direct RTP path can beat the proxied 200 OK to the
   // monitoring point, so the answer δ may arrive after media started.
   def.On(active, answer)
-      .Do(store_media("answer"))
+      .Do(store_media(answer_locals))
       .To(active, "late media answer (early media raced the 200)");
   // Session-mismatched RTP falls through → specification deviation
   // ("unauthorized media"), reported by the engine.
@@ -411,7 +422,7 @@ MachineDef BuildRtpSpecMachine(const DetectionConfig& config) {
   def.On(encoding, bye)
       .Do([grace](Context& c) { c.StartTimer(kTimerT, grace); })
       .To(close_wait);
-  def.On(encoding, answer).Do(store_media("answer")).To(encoding);
+  def.On(encoding, answer).Do(store_media(answer_locals)).To(encoding);
   def.On(close_wait, answer).To(close_wait, "late answer during teardown");
 
   // Fig. 5: in-flight packets tolerated until T expires...

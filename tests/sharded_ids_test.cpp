@@ -683,6 +683,37 @@ TEST(ShardedBackpressure, TinyRingsStallButLoseNothing) {
   engine.Stop();
 }
 
+// A wait on a full ring is one stall however long it spins: the counter
+// must not grow with the number of backoff iterations. INVITEs opening
+// fresh calls keep the one worker slow, so nearly every Ingest finds the
+// two-slot ring full and spins several times before a slot frees.
+TEST(ShardedBackpressure, StallsCountWaitsNotSpins) {
+  std::vector<net::Datagram> invites;
+  for (int k = 0; k < 2000; ++k) {
+    const std::string call_id = "stall-" + std::to_string(k);
+    invites.push_back(SipDgram(
+        MakeInvite(call_id, "bob",
+                   {net::IpAddress(10, 1, 0, 10),
+                    static_cast<uint16_t>(20000 + 2 * (k % 5000))},
+                   kProxyA),
+        kProxyA, kProxyB));
+  }
+  ShardedConfig config;
+  config.shards = 1;
+  config.ring_capacity = 2;
+  ShardedIds engine(config);
+  const sim::Time t0 = sim::Time::FromNanos(1);
+  for (const net::Datagram& dgram : invites) engine.Ingest(dgram, true, t0);
+  // One ingest message per packet (one shard: no ownership transfers), so
+  // at most one wait per Ingest — read before Flush adds control messages.
+  const uint64_t stalls = engine.ingest_stalls();
+  engine.Flush(t0);
+  EXPECT_GT(stalls, 0u);
+  EXPECT_LE(stalls, invites.size());
+  EXPECT_EQ(engine.shard_vids(0).stats().packets, invites.size());
+  engine.Stop();
+}
+
 // ---------------------------------------------------- aggregate hooks
 
 TEST(AggregateHook, DrdosKeyIsVictimIpFromPacket) {
