@@ -176,7 +176,8 @@ void BM_EfsmTransition(benchmark::State& state) {
   ids::DetectionConfig config;
   const auto def = ids::BuildRtpSpecMachine(config);
   sim::Scheduler scheduler;
-  efsm::MachineGroup group("bench", scheduler, nullptr);
+  efsm::Runtime runtime(scheduler);
+  efsm::MachineGroup group("bench", runtime);
   auto& machine = group.AddMachine(def, "RTP");
   group.global().Set("g_offer_ip", std::string("10.1.0.10"));
   group.global().Set("g_offer_port", int64_t{20000});

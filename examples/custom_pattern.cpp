@@ -77,7 +77,8 @@ Event Register(std::string src_ip, std::string contact) {
 struct PrintingObserver : efsm::Observer {
   void OnTransition(const efsm::MachineInstance& machine,
                     const efsm::Transition& t, const Event&) override {
-    std::printf("  %-18s %s\n", machine.name().c_str(), t.label.c_str());
+    std::printf("  %-18s %s\n", std::string(machine.name()).c_str(),
+                t.label.c_str());
   }
   void OnAttackState(const efsm::MachineInstance& machine, efsm::StateId state,
                      const Event& event) override {
@@ -101,7 +102,8 @@ int main() {
   sim::Scheduler scheduler;
   PrintingObserver observer;
   // One group per monitored address-of-record, as the fact base would do.
-  efsm::MachineGroup group("bob@b.example.com", scheduler, &observer);
+  efsm::Runtime runtime(scheduler, &observer);
+  efsm::MachineGroup group("bob@b.example.com", runtime);
   auto& machine = group.AddMachine(pattern, "reg-hijack");
 
   std::printf("bob's phone registers and refreshes:\n");

@@ -31,7 +31,7 @@ int main() {
         }
         std::printf("  [t=%7.3fs] %-8s %s\n",
                     bed.scheduler().Now().ToSeconds(),
-                    machine.name().c_str(), t.label.c_str());
+                    std::string(machine.name()).c_str(), t.label.c_str());
       });
   bed.vids()->set_alert_callback([&](const ids::Alert& alert) {
     std::printf(">>> ALERT: %s\n", alert.ToString().c_str());

@@ -13,6 +13,7 @@ EngineMetrics EngineMetrics::Registered(obs::MetricsRegistry& registry) {
   m.transitions = &registry.GetCounter("efsm.transitions");
   m.deviations = &registry.GetCounter("efsm.deviations");
   m.sync_sends = &registry.GetCounter("efsm.sync_sends");
+  m.sync_dropped = &registry.GetCounter("efsm.sync_dropped");
   m.nondeterminism = &registry.GetCounter("efsm.nondeterminism");
   m.retired = &registry.GetCounter("efsm.machines_retired");
   m.transition_ns = &registry.GetHistogram("efsm.transition_ns");
@@ -38,7 +39,7 @@ VariableStore& Context::mutable_global() {
   return global_;
 }
 
-void Context::Emit(std::string_view channel, Event event) {
+void Context::Emit(ArgKey channel, Event event) {
   instance_.EmitFrom(channel, std::move(event));
 }
 void Context::StartTimer(ArgKey name, sim::Duration after) {
@@ -47,12 +48,35 @@ void Context::StartTimer(ArgKey name, sim::Duration after) {
 void Context::CancelTimer(ArgKey name) { instance_.CancelTimer(name); }
 sim::Time Context::Now() const { return instance_.Now(); }
 
+// ------------------------------------------------------------- Runtime
+
+void Runtime::Pump() {
+  if (pumping_) return;
+  pumping_ = true;
+  size_t head = 0;
+  while (head < fifo_.size()) {
+    if (head == kMaxSyncEvents) {
+      // A cyclic emit chain: cut it here rather than let it resume on the
+      // next data event.
+      metrics_.sync_dropped->Inc(fifo_.size() - head);
+      break;
+    }
+    // Moved out before delivery: the delivery may emit, and a push may
+    // reallocate the FIFO under a reference.
+    SyncEvent& next = fifo_[head++];
+    MachineInstance* dst = next.dst;
+    const Event event = std::move(next.event);
+    dst->Deliver(event);
+  }
+  fifo_.clear();  // keeps capacity for the next emit
+  pumping_ = false;
+}
+
 // ----------------------------------------------------- MachineInstance
 
-MachineInstance::MachineInstance(const MachineDef& def, std::string name,
+MachineInstance::MachineInstance(const MachineDef& def, ArgKey name,
                                  MachineGroup& group)
-    : def_(def), name_(std::move(name)), group_(group),
-      state_(def.initial_state()) {
+    : def_(def), group_(group), state_(def.initial_state()), name_(name) {
   if (state_ == kInvalidState) {
     throw std::invalid_argument(def.name() + ": no initial state defined");
   }
@@ -67,7 +91,8 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
   // the shared histogram; everything else pays one increment and one
   // predictable branch. Keeps instrumentation inside the ≤ 10% transition
   // overhead budget while still filling p50/p99 within a second of load.
-  EngineMetrics& metrics = group_.metrics_;
+  Runtime& runtime = group_.runtime_;
+  EngineMetrics& metrics = runtime.metrics_;
   const bool sampled =
       (++metrics.sample_tick & (EngineMetrics::kLatencySamplePeriod - 1)) == 0;
   const int64_t t0 = sampled ? obs::MonotonicNanos() : 0;
@@ -105,14 +130,14 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
       metrics.deviations->Inc();
       obs::Record rec;
       rec.type = obs::RecordType::kDeviation;
-      rec.when_ns = group_.scheduler_.Now().nanos();
+      rec.when_ns = runtime.scheduler_.Now().nanos();
       rec.machine = index_in_group_;
       rec.from = static_cast<int16_t>(state_);
       rec.to = static_cast<int16_t>(state_);
       rec.a = ArgKey::Intern(event.name).id();
       group_.recorder_.Record(rec);
-      if (group_.observer() != nullptr) {
-        group_.observer()->OnDeviation(*this, event);
+      if (runtime.observer_ != nullptr) {
+        runtime.observer_->OnDeviation(*this, event);
       }
     }
     return DeliverResult::kDeviation;
@@ -120,8 +145,8 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
 
   if (enabled_count > 1) {
     metrics.nondeterminism->Inc();
-    if (group_.observer() != nullptr) {
-      group_.observer()->OnNondeterminism(*this, event, enabled_count);
+    if (runtime.observer_ != nullptr) {
+      runtime.observer_->OnNondeterminism(*this, event, enabled_count);
     }
   }
 
@@ -138,7 +163,7 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
     // lookup on the hot path; ExplainFlight decodes it back later.
     obs::Record rec;
     rec.type = obs::RecordType::kTransition;
-    rec.when_ns = group_.scheduler_.Now().nanos();
+    rec.when_ns = runtime.scheduler_.Now().nanos();
     rec.machine = index_in_group_;
     rec.a = static_cast<uint16_t>(enabled - def_.transitions().data());
     rec.from = static_cast<int16_t>(prev);
@@ -146,17 +171,17 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
     group_.recorder_.Record(rec);
   }
   if (sampled) metrics.transition_ns->Record(obs::MonotonicNanos() - t0);
-  if (group_.observer() != nullptr) {
-    group_.observer()->OnTransition(*this, *enabled, event);
+  if (runtime.observer_ != nullptr) {
+    runtime.observer_->OnTransition(*this, *enabled, event);
     if (def_.Kind(state_) == StateKind::kAttack) {
-      group_.observer()->OnAttackState(*this, state_, event);
+      runtime.observer_->OnAttackState(*this, state_, event);
     }
   }
   if (def_.Kind(state_) == StateKind::kFinal) {
     retired_ = true;
     metrics.retired->Inc();
     CancelTimers();
-    if (group_.observer() != nullptr) group_.observer()->OnRetired(*this);
+    if (runtime.observer_ != nullptr) runtime.observer_->OnRetired(*this);
   }
   return DeliverResult::kTransitioned;
 }
@@ -169,11 +194,11 @@ void MachineInstance::ResetForReuse() {
 }
 
 size_t MachineInstance::MemoryBytes() const {
-  return sizeof(*this) + name_.capacity() + local_.MemoryBytes() +
+  return sizeof(*this) + local_.MemoryBytes() +
          timers_.capacity() * sizeof(TimerSlot);
 }
 
-void MachineInstance::EmitFrom(std::string_view channel, Event event) {
+void MachineInstance::EmitFrom(ArgKey channel, Event event) {
   group_.Enqueue(*this, channel, std::move(event));
 }
 
@@ -184,7 +209,7 @@ void MachineInstance::StartTimer(ArgKey name, sim::Duration after) {
     timers_.push_back(TimerSlot{name, {}});
     it = timers_.end() - 1;
   }
-  sim::Scheduler& scheduler = group_.scheduler();
+  sim::Scheduler& scheduler = group_.runtime_.scheduler_;
   scheduler.Cancel(it->pending);  // a restart drops the running expiry
   it->pending = scheduler.ScheduleAfter(
       after, [this, name] { group_.OnTimerFired(*this, name); });
@@ -192,32 +217,25 @@ void MachineInstance::StartTimer(ArgKey name, sim::Duration after) {
 
 void MachineInstance::CancelTimer(ArgKey name) {
   for (TimerSlot& timer : timers_) {
-    if (timer.name == name) group_.scheduler().Cancel(timer.pending);
+    if (timer.name == name) group_.runtime_.scheduler_.Cancel(timer.pending);
   }
 }
 
 void MachineInstance::CancelTimers() {
-  for (TimerSlot& timer : timers_) group_.scheduler().Cancel(timer.pending);
+  sim::Scheduler& scheduler = group_.runtime_.scheduler_;
+  for (TimerSlot& timer : timers_) scheduler.Cancel(timer.pending);
 }
 
-sim::Time MachineInstance::Now() const { return group_.scheduler().Now(); }
+sim::Time MachineInstance::Now() const {
+  return group_.runtime_.scheduler_.Now();
+}
 
 // -------------------------------------------------------- MachineGroup
 
-MachineGroup::MachineGroup(std::string name, sim::Scheduler& scheduler,
-                           Observer* observer, const EngineMetrics* metrics)
-    : name_(std::move(name)), scheduler_(scheduler), observer_(observer) {
-  if (metrics != nullptr) metrics_ = *metrics;
-  // A call group holds the two protocol machines, two always-on scenario
-  // machines, and up to four session-scoped ones added later — reserve once
-  // instead of doubling through the call-creation hot path.
-  machines_.reserve(8);
-}
-
 MachineInstance& MachineGroup::AddMachine(const MachineDef& def,
-                                          std::string instance_name) {
+                                          std::string_view instance_name) {
   machines_.push_back(std::unique_ptr<MachineInstance>(
-      new MachineInstance(def, std::move(instance_name), *this)));
+      new MachineInstance(def, ArgKey::Intern(instance_name), *this)));
   machines_.back()->index_in_group_ =
       machines_.size() <= obs::Record::kNoMachine
           ? static_cast<uint8_t>(machines_.size() - 1)
@@ -229,18 +247,17 @@ void MachineGroup::ResetForReuse(std::string name) {
   name_ = std::move(name);
   global_.Clear();
   for (auto& machine : machines_) machine->ResetForReuse();
-  for (auto& [channel_name, channel] : channels_) {
-    channel.queue.clear();
-    channel.head = 0;
-  }
   recorder_.Reset();
-  pumping_ = false;
 }
 
-void MachineGroup::RouteChannel(std::string channel, MachineInstance& dst) {
-  Channel& entry = channels_[std::move(channel)];
-  entry.dst = &dst;
-  if (entry.id == 0) entry.id = static_cast<uint16_t>(channels_.size());
+void MachineGroup::RouteChannel(ArgKey channel, MachineInstance& dst) {
+  for (Channel& entry : channels_) {
+    if (entry.name == channel) {
+      entry.dst = &dst;
+      return;
+    }
+  }
+  channels_.push_back(Channel{channel, &dst});
 }
 
 MachineInstance* MachineGroup::Find(std::string_view instance_name) {
@@ -251,57 +268,34 @@ MachineInstance* MachineGroup::Find(std::string_view instance_name) {
 }
 
 void MachineGroup::DeliverData(MachineInstance& machine, const Event& event) {
-  // Paper §4.2: synchronization events waiting in FIFO queues have priority
-  // over data packet events.
-  PumpSyncQueues();
+  // Paper §4.2: synchronization events have priority over the next data
+  // packet event. The FIFO is empty on entry (every DeliverData drains it),
+  // so only what this delivery emits needs pumping.
   machine.Deliver(event);
-  PumpSyncQueues();
+  runtime_.Pump();
 }
 
-void MachineGroup::Enqueue(const MachineInstance& from,
-                           std::string_view channel, Event event) {
-  const auto it = channels_.find(channel);
-  if (it == channels_.end() || it->second.dst == nullptr) {
+void MachineGroup::Enqueue(const MachineInstance& from, ArgKey channel,
+                           Event event) {
+  size_t index = 0;
+  while (index < channels_.size() && channels_[index].name != channel) {
+    ++index;
+  }
+  if (index == channels_.size()) {
     VIDS_DEBUG_C("efsm") << name_ << ": sync event '" << event.name
-                         << "' emitted on unrouted channel '" << channel
-                         << "'";
+                         << "' emitted on unrouted channel '"
+                         << channel.name() << "'";
     return;
   }
-  metrics_.sync_sends->Inc();
+  runtime_.metrics_.sync_sends->Inc();
   obs::Record rec;
   rec.type = obs::RecordType::kSyncSend;
-  rec.when_ns = scheduler_.Now().nanos();
+  rec.when_ns = runtime_.scheduler_.Now().nanos();
   rec.machine = from.index_in_group_;
   rec.a = ArgKey::Intern(event.name).id();
-  rec.aux = it->second.id;
+  rec.aux = index + 1;
   recorder_.Record(rec);
-  it->second.queue.push_back(std::move(event));
-}
-
-void MachineGroup::PumpSyncQueues() {
-  if (pumping_) return;  // re-entrant Emit during a sync delivery
-  pumping_ = true;
-  // Bounded pump: a cyclic emit chain cannot livelock the IDS.
-  constexpr int kMaxSyncEvents = 1000;
-  int processed = 0;
-  bool progressed = true;
-  while (progressed && processed < kMaxSyncEvents) {
-    progressed = false;
-    for (auto& [channel_name, channel] : channels_) {
-      while (channel.head < channel.queue.size() &&
-             processed < kMaxSyncEvents) {
-        Event event = std::move(channel.queue[channel.head]);
-        if (++channel.head == channel.queue.size()) {
-          channel.queue.clear();  // keeps capacity for the next emit
-          channel.head = 0;
-        }
-        ++processed;
-        progressed = true;
-        channel.dst->Deliver(event);
-      }
-    }
-  }
-  pumping_ = false;
+  runtime_.fifo_.emplace_back(channels_[index].dst, std::move(event));
 }
 
 void MachineGroup::OnTimerFired(MachineInstance& machine, ArgKey timer_name) {
@@ -318,11 +312,10 @@ bool MachineGroup::AllRetired() const {
 }
 
 size_t MachineGroup::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + name_.capacity() + global_.MemoryBytes();
+  size_t bytes = sizeof(*this) + name_.capacity() + global_.MemoryBytes() +
+                 machines_.capacity() * sizeof(machines_[0]) +
+                 channels_.capacity() * sizeof(Channel);
   for (const auto& machine : machines_) bytes += machine->MemoryBytes();
-  for (const auto& [channel_name, channel] : channels_) {
-    bytes += channel_name.capacity() + sizeof(Channel);
-  }
   return bytes;
 }
 
@@ -378,12 +371,9 @@ std::vector<std::string> MachineGroup::ExplainFlight(
         line += ": sync-send '";
         line += ArgKey::NameOfId(rec.a);
         line += '\'';
-        for (const auto& [channel_name, channel] : channels_) {
-          if (channel.id == rec.aux) {
-            line += " on ";
-            line += channel_name;
-            break;
-          }
+        if (rec.aux >= 1 && rec.aux <= channels_.size()) {
+          line += " on ";
+          line += channels_[rec.aux - 1].name.name();
         }
         break;
       }

@@ -1,17 +1,21 @@
 // EFSM runtime: instances, communicating groups, sync channels, timers.
 //
 // One MachineGroup exists per monitored call (paper §5: "only one instance
-// of a protocol state machine is maintained ... per call"). The group owns
-// the shared global variable store, the FIFO synchronization channels
-// between machines (Fig. 2(b)) and delivers events with the paper's
-// priority rule: queued synchronization events are processed before any
-// further data event.
+// of a protocol state machine is maintained ... per call"). A group holds
+// only its call's configuration: name, flight ring, global variable store,
+// machines and channel routing. What every group of one deployment shares
+// lives once in a Runtime: the scheduler, the observer, the engine metrics
+// and the δ synchronization FIFO (Fig. 2(b)). Delivery follows the paper's
+// priority rule: synchronization events are processed before any further
+// data event. DeliverData drains the FIFO before it returns, so the FIFO
+// is empty whenever no data event is being delivered, and no group keeps a
+// queue at rest.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "efsm/machine.h"
@@ -24,23 +28,26 @@ namespace vids::efsm {
 class MachineInstance;
 class MachineGroup;
 
-/// Preallocated metric slots for the engine, shared by every machine group
-/// of one deployment (per-call metrics would explode the registry; the
-/// interesting cardinality lives in the per-call flight recorders instead).
-/// Defaults are the null sinks, so an unattached group pays one pointer
-/// write per update and never branches. The per-transition latency
-/// histogram is sampled 1-in-kLatencySamplePeriod so its two wall-clock
-/// reads amortize to well under a nanosecond per delivery.
+/// Preallocated metric slots for the engine, held once by the Runtime that
+/// every machine group of one deployment shares (per-call metrics would
+/// explode the registry; the interesting cardinality lives in the per-call
+/// flight recorders instead). Defaults are the null sinks, so an
+/// unattached runtime pays one pointer write per update and never
+/// branches. The per-transition latency histogram is sampled
+/// 1-in-kLatencySamplePeriod so its two wall-clock reads amortize to well
+/// under a nanosecond per delivery.
 struct EngineMetrics {
   static constexpr uint32_t kLatencySamplePeriod = 64;
 
   obs::Counter* transitions = &obs::NullCounter();
   obs::Counter* deviations = &obs::NullCounter();  // out-of-spec hits
   obs::Counter* sync_sends = &obs::NullCounter();  // FIFO channel emits
+  // Sync events left in the FIFO when a pump hit Runtime::kMaxSyncEvents.
+  obs::Counter* sync_dropped = &obs::NullCounter();
   obs::Counter* nondeterminism = &obs::NullCounter();
   obs::Counter* retired = &obs::NullCounter();
   obs::Histogram* transition_ns = &obs::NullHistogram();
-  uint32_t sample_tick = 0;  // per-group copy's own sampling phase
+  uint32_t sample_tick = 0;  // the runtime's one sampling phase
 
   /// Registers the slots under "efsm.*" in `registry`.
   static EngineMetrics Registered(obs::MetricsRegistry& registry);
@@ -69,6 +76,50 @@ class Observer {
   virtual void OnRetired(const MachineInstance&) {}
 };
 
+/// What every machine group of one deployment shares: the scheduler its
+/// timers run on, the observer, the engine metrics and the δ channel FIFO.
+/// One per deployment — a fact base owns one; a test or an example that
+/// builds groups by hand makes its own. It must outlive its groups.
+///
+/// The FIFO holds the sync events emitted while a data event is delivered,
+/// in global emission order, each with its destination machine. The pump
+/// that DeliverData runs drains it before returning; it delivers at most
+/// kMaxSyncEvents per data event, so a cyclic emit chain cannot livelock
+/// the IDS, and drops what is left at that cap (efsm.sync_dropped).
+class Runtime {
+ public:
+  static constexpr size_t kMaxSyncEvents = 1000;
+
+  /// `observer` may be null; it must outlive the runtime otherwise. The
+  /// slots `metrics` points at must outlive it too (in practice they live
+  /// in a MetricsRegistry owned by the deployment).
+  explicit Runtime(sim::Scheduler& scheduler, Observer* observer = nullptr,
+                   const EngineMetrics& metrics = {})
+      : scheduler_(scheduler), observer_(observer), metrics_(metrics) {}
+  Runtime(const Runtime&) = delete;
+  Runtime& operator=(const Runtime&) = delete;
+
+ private:
+  friend class MachineInstance;
+  friend class MachineGroup;
+
+  struct SyncEvent {
+    MachineInstance* dst;
+    Event event;
+  };
+
+  /// Delivers the FIFO to quiescence or to the cap. A no-op while a pump
+  /// is running: an event emitted during a sync delivery joins the FIFO
+  /// and the running pump reaches it in order.
+  void Pump();
+
+  sim::Scheduler& scheduler_;
+  Observer* observer_;
+  EngineMetrics metrics_;
+  std::vector<SyncEvent> fifo_;  // capacity kept across pumps
+  bool pumping_ = false;
+};
+
 class MachineInstance {
  public:
   enum class DeliverResult {
@@ -86,7 +137,7 @@ class MachineInstance {
   DeliverResult Deliver(const Event& event);
 
   const MachineDef& def() const { return def_; }
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.name(); }
   StateId state() const { return state_; }
   std::string_view StateName() const { return def_.StateName(state_); }
   bool retired() const { return retired_; }
@@ -108,11 +159,10 @@ class MachineInstance {
   /// empty variable valuation, no pending timers. Variable-store capacity
   /// is retained — that is the point of recycling.
   void ResetForReuse();
-  MachineInstance(const MachineDef& def, std::string name,
-                  MachineGroup& group);
+  MachineInstance(const MachineDef& def, ArgKey name, MachineGroup& group);
 
   // Context's action-side hooks.
-  void EmitFrom(std::string_view channel, Event event);
+  void EmitFrom(ArgKey channel, Event event);
   void StartTimer(ArgKey name, sim::Duration after);
   void CancelTimer(ArgKey name);
   /// Cancels every pending timer; the slots stay for the next start.
@@ -129,9 +179,9 @@ class MachineInstance {
   };
 
   const MachineDef& def_;
-  std::string name_;
   MachineGroup& group_;
   StateId state_;
+  ArgKey name_;  // interned: instance names repeat across every group
   bool retired_ = false;
   uint8_t index_in_group_ = obs::Record::kNoMachine;  // ring-record identity
   VariableStore local_;
@@ -140,12 +190,10 @@ class MachineInstance {
 
 class MachineGroup {
  public:
-  /// `observer` may be null; it must outlive the group otherwise.
-  /// `metrics`, when non-null, is copied — the shared slots it points at
-  /// must outlive the group (in practice they live in a MetricsRegistry
-  /// owned by the deployment that creates the groups).
-  MachineGroup(std::string name, sim::Scheduler& scheduler,
-               Observer* observer, const EngineMetrics* metrics = nullptr);
+  /// `runtime` is shared with every other group of the deployment and must
+  /// outlive this one.
+  MachineGroup(std::string name, Runtime& runtime)
+      : name_(std::move(name)), runtime_(runtime) {}
 
   /// Instantiates `def` into this group under `instance_name`. The
   /// definition is shared, not copied — it must outlive the group (that is
@@ -153,24 +201,32 @@ class MachineGroup {
   /// itself exists once). The rvalue overload is deleted so a temporary
   /// definition cannot dangle.
   MachineInstance& AddMachine(const MachineDef& def,
-                              std::string instance_name);
+                              std::string_view instance_name);
   MachineInstance& AddMachine(MachineDef&& def,
-                              std::string instance_name) = delete;
+                              std::string_view instance_name) = delete;
+  /// Sizes the machine table for a group built to a known layout, so the
+  /// AddMachine calls that follow allocate it once at its exact size.
+  void ReserveMachines(size_t count) { machines_.reserve(count); }
 
   /// Routes the named channel (e.g. "SIP->RTP") to a destination machine.
-  void RouteChannel(std::string channel, MachineInstance& dst);
+  /// A channel's flight-record id is its routing position + 1.
+  void RouteChannel(ArgKey channel, MachineInstance& dst);
+  void RouteChannel(std::string_view channel, MachineInstance& dst) {
+    RouteChannel(ArgKey::Intern(channel), dst);
+  }
 
   /// Resets the group for reuse under a new call name: every machine back
-  /// to its initial configuration, variable valuations and sync queues
-  /// emptied, pending timers cancelled, flight ring forgotten. Machine set
-  /// and channel routing are kept, so only a pool of identically-shaped
-  /// groups may recycle through this (the fact base's call groups are).
+  /// to its initial configuration, variable valuations emptied, pending
+  /// timers cancelled, flight ring forgotten. Machine set and channel
+  /// routing are kept, so only a pool of identically-shaped groups may
+  /// recycle through this (the fact base's call groups are).
   /// Buffer capacities survive — recycling a group skips the allocation
   /// storm of building one.
   void ResetForReuse(std::string name);
 
-  /// Delivers a data event to one machine, then pumps the synchronization
-  /// queues to quiescence (sync has priority over the next data event).
+  /// Delivers a data event to one machine, then pumps the runtime's sync
+  /// FIFO (sync has priority over the next data event). The FIFO is empty
+  /// when this returns.
   void DeliverData(MachineInstance& machine, const Event& event);
 
   /// Name scan over the machines — for tests and tools. The packet path
@@ -183,8 +239,6 @@ class MachineGroup {
   }
 
   const std::string& name() const { return name_; }
-  sim::Scheduler& scheduler() { return scheduler_; }
-  Observer* observer() { return observer_; }
   VariableStore& global() { return global_; }
   const std::vector<std::unique_ptr<MachineInstance>>& machines() const {
     return machines_;
@@ -216,31 +270,20 @@ class MachineGroup {
 
  private:
   friend class MachineInstance;
-  void Enqueue(const MachineInstance& from, std::string_view channel,
-               Event event);
-  void PumpSyncQueues();
+  void Enqueue(const MachineInstance& from, ArgKey channel, Event event);
   void OnTimerFired(MachineInstance& machine, ArgKey timer_name);
 
   struct Channel {
-    MachineInstance* dst = nullptr;
-    // FIFO as vector + cursor rather than std::deque: sizeof(Event) exceeds
-    // the deque chunk size, so a deque pays one heap node per queued event
-    // (plus the map block at construction); the vector buffer is reused for
-    // the life of the channel.
-    std::vector<Event> queue;
-    size_t head = 0;
-    uint16_t id = 0;  // ring-record identity, assigned at RouteChannel
+    ArgKey name;
+    MachineInstance* dst;
   };
 
   std::string name_;
-  sim::Scheduler& scheduler_;
-  Observer* observer_;
-  EngineMetrics metrics_;  // copy: one indirection per update, no null check
+  Runtime& runtime_;
   mutable obs::FlightRecorder recorder_;
   VariableStore global_;
   std::vector<std::unique_ptr<MachineInstance>> machines_;
-  std::map<std::string, Channel, std::less<>> channels_;
-  bool pumping_ = false;
+  std::vector<Channel> channels_;  // id = position + 1
 };
 
 }  // namespace vids::efsm

@@ -98,8 +98,12 @@ class Context {
   VariableStore& mutable_global();
 
   // --- Action-side effects (routed through the owning instance) ---
-  /// c!event: enqueue `event` on the named output channel.
-  void Emit(std::string_view channel, Event event);
+  /// c!event: enqueue `event` on the named output channel. Hot-path
+  /// actions pass a pre-interned key; the string_view overload interns.
+  void Emit(ArgKey channel, Event event);
+  void Emit(std::string_view channel, Event event) {
+    Emit(ArgKey::Intern(channel), std::move(event));
+  }
   /// Starts (or restarts) a named timer on this machine. Hot-path actions
   /// pass a pre-interned key; the string_view overloads intern per call.
   void StartTimer(ArgKey name, sim::Duration after);

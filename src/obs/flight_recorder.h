@@ -81,8 +81,6 @@ class FlightRecorder {
     }
   }
 
-  void Clear() { head_ = 0; }
-
  private:
   std::array<obs::Record, kCapacity> ring_{};
   uint64_t head_ = 0;

@@ -75,8 +75,9 @@ inline constexpr std::string_view kRtpEvent = "RTP";
 inline constexpr std::string_view kRtcpEvent = "RTCP";
 /// Synthesized by the Event Distributor for responses matching no call.
 inline constexpr std::string_view kUnsolicitedEvent = "UNSOLICITED";
-/// Synchronization channel and event names (δ_SIP→RTP of Fig. 2/5).
-inline constexpr std::string_view kSipToRtpChannel = "SIP->RTP";
+/// Synchronization channel (δ_SIP→RTP of Fig. 2/5), pre-interned, and the
+/// event names it carries.
+inline const efsm::ArgKey kSipToRtpChannel = efsm::ArgKey::Intern("SIP->RTP");
 inline constexpr std::string_view kSyncOffer = "sync:offer";
 inline constexpr std::string_view kSyncAnswer = "sync:answer";
 inline constexpr std::string_view kSyncBye = "sync:bye";

@@ -27,7 +27,7 @@ uint64_t DrdosKey(net::IpAddress victim) {
 efsm::MachineInstance& AddAt(efsm::MachineGroup& group, size_t index,
                              const efsm::MachineDef& def,
                              std::string_view name) {
-  efsm::MachineInstance& machine = group.AddMachine(def, std::string(name));
+  efsm::MachineInstance& machine = group.AddMachine(def, name);
   if (group.machines().size() != index + 1) {
     throw std::logic_error("fact base: machine '" + std::string(name) +
                            "' is not at its layout position");
@@ -43,12 +43,13 @@ CallStateFactBase::CallStateFactBase(sim::Scheduler& scheduler,
                                      obs::MetricsRegistry* registry)
     : scheduler_(scheduler),
       config_(config),
-      observer_(observer),
+      runtime_(scheduler, observer,
+               registry != nullptr ? efsm::EngineMetrics::Registered(*registry)
+                                   : efsm::EngineMetrics{}),
       sip_spec_(BuildSipSpecMachine(config)),
       rtp_spec_(BuildRtpSpecMachine(config)),
       scenarios_(config) {
   if (registry != nullptr) {
-    engine_metrics_ = efsm::EngineMetrics::Registered(*registry);
     m_calls_created_ = &registry->GetCounter("vids.calls_created");
     m_calls_deleted_ = &registry->GetCounter("vids.calls_deleted");
     m_sweeps_ = &registry->GetCounter("vids.sweeps");
@@ -111,16 +112,15 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
     group_pool_.pop_back();
     group->ResetForReuse(call_id);
   } else {
-    group = std::make_unique<efsm::MachineGroup>(call_id, scheduler_,
-                                                 observer_,
-                                                 &engine_metrics_);
+    group = std::make_unique<efsm::MachineGroup>(call_id, runtime_);
+    group->ReserveMachines(call_machine::kHijack + 1);
     AddAt(*group, call_machine::kSip, sip_spec_, kSipMachineName);
     auto& rtp = AddAt(*group, call_machine::kRtp, rtp_spec_, kRtpMachineName);
     AddAt(*group, call_machine::kCancelDos, scenarios_.cancel_dos,
           "cancel-dos");
     AddAt(*group, call_machine::kHijack, scenarios_.hijack, "hijack");
     if (config_.enable_cross_protocol) {
-      group->RouteChannel(std::string(kSipToRtpChannel), rtp);
+      group->RouteChannel(kSipToRtpChannel, rtp);
     }
   }
   {
@@ -145,41 +145,6 @@ efsm::MachineGroup* CallStateFactBase::FindCall(std::string_view call_id) {
   return it->second.group.get();
 }
 
-efsm::MachineGroup& CallStateFactBase::GetOrCreateKeyed(
-    KeyedKind kind, const std::string& key) {
-  switch (kind) {
-    case KeyedKind::kMediaEndpoint:
-      if (const auto endpoint = net::Endpoint::Parse(key)) {
-        return GetOrCreateMediaGroup(*endpoint);
-      }
-      break;
-    case KeyedKind::kDrdos:
-      if (const auto victim = net::IpAddress::Parse(key)) {
-        return GetOrCreateDrdosGroup(*victim);
-      }
-      break;
-    case KeyedKind::kInviteFlood:
-      return GetOrCreateInviteFlood(key);
-  }
-  // Unparseable media/victim keys.
-  const std::string name =
-      (kind == KeyedKind::kMediaEndpoint ? "media|" : "drdos|") + key;
-  auto [it, inserted] = keyed_str_.try_emplace(name);
-  if (auto* group = TouchKeyed<KeyedStrMap>(*it, keyed_str_age_, inserted)) {
-    return *group;
-  }
-  auto group = std::make_unique<efsm::MachineGroup>(name, scheduler_,
-                                                    observer_,
-                                                    &engine_metrics_);
-  if (kind == KeyedKind::kMediaEndpoint) {
-    BuildMediaGroup(*group);
-  } else {
-    AddAt(*group, kWindowMachine, scenarios_.drdos, "drdos");
-  }
-  it->second.group = std::move(group);
-  return *it->second.group;
-}
-
 template <typename Map>
 efsm::MachineGroup* CallStateFactBase::TouchKeyed(
     typename Map::value_type& node, AgeOf<Map>& ages, bool inserted) {
@@ -196,6 +161,7 @@ efsm::MachineGroup* CallStateFactBase::TouchKeyed(
 }
 
 void CallStateFactBase::BuildMediaGroup(efsm::MachineGroup& group) {
+  group.ReserveMachines(media_machine::kRtcpBye + 1);
   AddAt(group, media_machine::kMediaSpam, scenarios_.media_spam,
         "media-spam");
   AddAt(group, media_machine::kRtpFlood, scenarios_.rtp_flood, "rtp-flood");
@@ -212,8 +178,8 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateInviteFlood(
   if (auto* group = TouchKeyed<KeyedStrMap>(*it, keyed_str_age_, inserted)) {
     return *group;
   }
-  auto group = std::make_unique<efsm::MachineGroup>(
-      flood_key_scratch_, scheduler_, observer_, &engine_metrics_);
+  auto group = std::make_unique<efsm::MachineGroup>(flood_key_scratch_,
+                                                    runtime_);
   AddAt(*group, kWindowMachine, scenarios_.invite_flood, "invite-flood");
   it->second.group = std::move(group);
   return *it->second.group;
@@ -226,8 +192,7 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateMediaGroup(
     return *group;
   }
   auto group = std::make_unique<efsm::MachineGroup>(
-      "media|" + endpoint.ToString(), scheduler_, observer_,
-      &engine_metrics_);
+      "media|" + endpoint.ToString(), runtime_);
   BuildMediaGroup(*group);
   it->second.group = std::move(group);
   return *it->second.group;
@@ -240,8 +205,7 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateDrdosGroup(
     return *group;
   }
   auto group = std::make_unique<efsm::MachineGroup>(
-      "drdos|" + victim.ToString(), scheduler_, observer_,
-      &engine_metrics_);
+      "drdos|" + victim.ToString(), runtime_);
   AddAt(*group, kWindowMachine, scenarios_.drdos, "drdos");
   it->second.group = std::move(group);
   return *it->second.group;

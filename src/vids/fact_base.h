@@ -44,9 +44,6 @@
 
 namespace vids::ids {
 
-/// Keyed (non-call) group families.
-enum class KeyedKind : uint8_t { kInviteFlood, kMediaEndpoint, kDrdos };
-
 /// Flight-record `aux` encoding used by the fact base's kFactAssert /
 /// kFactRetract records: family tag in the top byte, packed payload below
 /// (media-endpoint key for the media tags, nothing for call lifecycle).
@@ -94,18 +91,14 @@ class CallStateFactBase {
                                       bool& created);
   efsm::MachineGroup* FindCall(std::string_view call_id);
 
-  /// Per-destination pattern group, generic string-keyed entry point:
-  /// INVITE flood (key = callee AOR), media spam + RTP flood (key = media
-  /// endpoint "ip:port"), DRDoS (key = victim IP). Media/DRDoS keys that
-  /// parse as endpoint/IP are routed to the binary-keyed overloads below.
-  efsm::MachineGroup& GetOrCreateKeyed(KeyedKind kind, const std::string& key);
-
-  /// INVITE-flood fast path: runs once per INVITE request, so the "flood|"
-  /// prefixed map key is composed in a reused scratch string and looked up
-  /// transparently — the hit path performs no allocation.
+  /// Per-destination pattern groups. INVITE flood, keyed by callee AOR:
+  /// runs once per INVITE request, so the "flood|" prefixed map key is
+  /// composed in a reused scratch string and looked up transparently — the
+  /// hit path performs no allocation.
   efsm::MachineGroup& GetOrCreateInviteFlood(std::string_view aor);
 
-  /// Binary-keyed fast paths — no string formatting or parsing.
+  /// Media spam + RTP flood + RTCP BYE per media endpoint, DRDoS per victim
+  /// host: binary-keyed, no string formatting or parsing.
   efsm::MachineGroup& GetOrCreateMediaGroup(const net::Endpoint& endpoint);
   efsm::MachineGroup& GetOrCreateDrdosGroup(net::IpAddress victim);
 
@@ -292,11 +285,11 @@ class CallStateFactBase {
 
   sim::Scheduler& scheduler_;
   DetectionConfig config_;
-  efsm::Observer* observer_;
+  // Shared by every group below: scheduler, observer, engine metrics and
+  // the δ FIFO. Declared before the groups so it outlives them.
+  efsm::Runtime runtime_;
 
-  // Shared metric slots: one EngineMetrics copy source for every group,
-  // plus the fact base's own lifecycle/sweep instrumentation.
-  efsm::EngineMetrics engine_metrics_;
+  // The fact base's own lifecycle/sweep instrumentation.
   obs::Counter* m_calls_created_ = &obs::NullCounter();
   obs::Counter* m_calls_deleted_ = &obs::NullCounter();
   obs::Counter* m_sweeps_ = &obs::NullCounter();
@@ -315,7 +308,7 @@ class CallStateFactBase {
   std::vector<std::unique_ptr<efsm::MachineGroup>> group_pool_;
 
   StringKeyed<CallEntry> calls_;
-  KeyedStrMap keyed_str_;  // INVITE flood, name-prefixed "flood|"
+  KeyedStrMap keyed_str_;  // INVITE-flood groups, keyed "flood|<aor>"
   std::string flood_key_scratch_;  // reused by GetOrCreateInviteFlood
   // Media-endpoint and DRDoS groups, keyed by kind-tagged packed binary key.
   KeyedBinMap keyed_bin_;

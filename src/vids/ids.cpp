@@ -365,8 +365,8 @@ void Vids::AttachProvenance(Alert& alert,
   if (last_transition_ != nullptr && last_transition_machine_ == &machine) {
     const efsm::Transition& t = *last_transition_;
     const efsm::MachineDef& def = machine.def();
-    alert.trigger = machine.name() + ": '" + t.event_name + "' " +
-                    std::string(def.StateName(t.from)) + " -> " +
+    alert.trigger = std::string(machine.name()) + ": '" + t.event_name +
+                    "' " + std::string(def.StateName(t.from)) + " -> " +
                     std::string(def.StateName(t.to));
     if (!t.label.empty()) alert.trigger += " [" + t.label + "]";
   }

@@ -1,7 +1,8 @@
 // Media-endpoint → owning-shard routing map of the sharded engine.
 //
-// The router (ShardedIds::Ingest, one thread) snoops SDP on the SIP it
-// routes: an endpoint belongs to the shard of the call that negotiated it.
+// The router (ShardedIds::Ingest, one thread) reads the SDP of the SIP it
+// routes with sdp::ProbeAudio, the classifier's reader: the endpoint that
+// reader yields belongs to the shard of the call that negotiated it.
 // This map records that binding plus a last-seen stamp per endpoint. It is
 // owned and used by the router thread only, so it is a plain open-addressing
 // table over a power-of-two slot array: no atomics, no locks. Claims apply

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "common/backoff.h"
 #include "rtp/rtcp.h"
+#include "sdp/sdp.h"
 
 namespace vids::ids {
 
@@ -379,54 +379,22 @@ int ShardedIds::RouteEndpoint(const net::Endpoint& endpoint,
   return HashShardOfEndpoint(key);
 }
 
-void ShardedIds::SnoopSdp(std::string_view body, int shard, int64_t when_ns) {
-  // Line scan for "c=... <ip>" / "m=audio <port>". This mirrors what the
-  // shard-side classifier will extract; the router only needs the endpoint
-  // → shard binding, not a full SDP model.
-  std::optional<net::IpAddress> ip;
-  size_t pos = 0;
-  while (pos <= body.size()) {
-    const size_t eol = body.find('\n', pos);
-    std::string_view line =
-        body.substr(pos, (eol == std::string_view::npos ? body.size() : eol) -
-                             pos);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.size() > 2 && line[0] == 'c' && line[1] == '=') {
-      // "c=IN IP4 10.0.0.1" — the address is the last token.
-      const size_t sp = line.rfind(' ');
-      if (sp != std::string_view::npos) {
-        ip = net::IpAddress::Parse(line.substr(sp + 1));
-      }
-    } else if (line.rfind("m=audio ", 0) == 0) {
-      uint32_t media_port = 0;
-      for (size_t i = 8; i < line.size() && line[i] >= '0' && line[i] <= '9';
-           ++i) {
-        media_port = media_port * 10 + static_cast<uint32_t>(line[i] - '0');
-        if (media_port > 65535) break;
-      }
-      if (ip.has_value() && media_port > 0 && media_port <= 65535) {
-        const net::Endpoint endpoint{*ip,
-                                     static_cast<uint16_t>(media_port)};
-        const uint64_t key = endpoint.PackedKey();
-        // The losing shard (the previous owner, or the hash-fallback shard
-        // that early media went to) gets its retract ahead of the claiming
-        // packet on its own FIFO ring. A retract for an endpoint the shard
-        // never bound is a no-op.
-        const MediaOwnerTable::RetractEdge edge = owner_table_.Claim(
-            key, shard, when_ns, HashShardOfEndpoint(key));
-        if (edge.shard >= 0) {
-          (edge.early ? m_early_retracts_ : m_retracts_)->Inc();
-          Push(edge.shard, [&](ShardMsg& msg, size_t) {
-            msg.kind = ShardMsg::Kind::kRetractMedia;
-            msg.when_ns = when_ns;
-            msg.endpoint = endpoint;
-          });
-        }
-      }
-    }
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
-  }
+void ShardedIds::ClaimMedia(const net::Endpoint& endpoint, int shard,
+                            int64_t when_ns) {
+  // The losing shard (the previous owner, or the hash-fallback shard that
+  // early media went to) gets its retract ahead of the claiming packet on
+  // its own FIFO ring. A retract for an endpoint the shard never bound is a
+  // no-op.
+  const uint64_t key = endpoint.PackedKey();
+  const MediaOwnerTable::RetractEdge edge =
+      owner_table_.Claim(key, shard, when_ns, HashShardOfEndpoint(key));
+  if (edge.shard < 0) return;
+  (edge.early ? m_early_retracts_ : m_retracts_)->Inc();
+  Push(edge.shard, [&](ShardMsg& msg, size_t) {
+    msg.kind = ShardMsg::Kind::kRetractMedia;
+    msg.when_ns = when_ns;
+    msg.endpoint = endpoint;
+  });
 }
 
 template <typename Fill>
@@ -539,8 +507,13 @@ void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
     const auto call_id = lazy_.CallId();
     target = ShardOfCallId(call_id.value_or(std::string_view()));
     m_sip_routed_->Inc();
+    // The endpoint the shard-side classifier will export from this SDP
+    // (the same reader, so the router and the shard agree on it).
     if (call_id.has_value() && !lazy_.body().empty()) {
-      SnoopSdp(lazy_.body(), target, when_ns);
+      if (const auto probe = sdp::ProbeAudio(lazy_.body());
+          probe && probe->has_endpoint) {
+        ClaimMedia(probe->endpoint, target, when_ns);
+      }
     }
   } else {
     target = RouteEndpoint(dgram.dst, when_ns);

@@ -11,9 +11,10 @@
 //   SIP            → FNV-1a(Call-ID) mod N. All packets of a dialog land on
 //                    one shard, so call groups, tombstones and the per-call
 //                    patterns behave exactly as in the single engine.
-//   RTP            → media-endpoint owner map (MediaOwnerTable, maintained
-//                    by an SDP snoop on the routed SIP traffic: the endpoint
-//                    belongs to the shard of the call that negotiated it),
+//   RTP            → media-endpoint owner map (MediaOwnerTable, fed from
+//                    the routed SIP's SDP by sdp::ProbeAudio, the
+//                    classifier's reader: the endpoint belongs to the shard
+//                    of the call that negotiated it),
 //                    falling back to a hash of the destination endpoint for
 //                    unnegotiated media. Either way one endpoint → one
 //                    shard, so the per-endpoint pattern groups (RTP flood,
@@ -394,9 +395,9 @@ class ShardedIds {
   int RouteEndpoint(const net::Endpoint& endpoint, int64_t when_ns);
   int ShardOfCallId(std::string_view call_id) const;
   int HashShardOfEndpoint(uint64_t packed_key) const;
-  /// Applies the SDP body's ownership claims to the owner map and pushes
-  /// the resulting kRetractMedia messages to the losing shards.
-  void SnoopSdp(std::string_view body, int shard, int64_t when_ns);
+  /// Binds `endpoint` (an SDP's audio endpoint) to `shard` in the owner
+  /// map and pushes the resulting kRetractMedia to the losing shard.
+  void ClaimMedia(const net::Endpoint& endpoint, int shard, int64_t when_ns);
   /// Reserve+fill one slot on `shard`'s ring (backpressure: publish every
   /// open batch and drain upstream until the slot frees). Commits the
   /// ring's batch once it holds kBatchMax messages.

@@ -15,15 +15,15 @@ struct RecordingObserver : Observer {
 
   void OnTransition(const MachineInstance& machine, const Transition& t,
                     const Event&) override {
-    transitions.push_back(machine.name() + ":" + t.label);
+    transitions.push_back(std::string(machine.name()) + ":" + t.label);
   }
   void OnAttackState(const MachineInstance& machine, StateId state,
                      const Event&) override {
-    attacks.push_back(machine.name() + ":" +
+    attacks.push_back(std::string(machine.name()) + ":" +
                       std::string(machine.def().StateName(state)));
   }
   void OnDeviation(const MachineInstance& machine, const Event& event) override {
-    deviations.push_back(machine.name() + ":" + event.name);
+    deviations.push_back(std::string(machine.name()) + ":" + event.name);
   }
   void OnNondeterminism(const MachineInstance&, const Event&,
                         size_t) override {
@@ -88,6 +88,7 @@ class EngineFixture : public ::testing::Test {
  protected:
   sim::Scheduler scheduler_;
   RecordingObserver observer_;
+  Runtime runtime_{scheduler_, &observer_};
 };
 
 TEST_F(EngineFixture, BasicTransitionWithPredicateAndAction) {
@@ -99,7 +100,7 @@ TEST_F(EngineFixture, BasicTransitionWithPredicateAndAction) {
       .Do([](Context& c) { c.mutable_local().Set("saw", c.event().Arg("x")); })
       .To(s1, "went");
 
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   EXPECT_EQ(machine.StateName(), "S0");
 
@@ -123,7 +124,7 @@ TEST_F(EngineFixture, EventOutsideAlphabetIsIgnored) {
   MachineDef def("m");
   const auto s0 = def.AddState("S0", StateKind::kInitial);
   def.On(s0, "known").To(s0);
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   EXPECT_EQ(machine.Deliver(Ev("unknown")),
             MachineInstance::DeliverResult::kNotInAlphabet);
@@ -138,7 +139,7 @@ TEST_F(EngineFixture, DeviationSuppressedWhenConfigured) {
   def.On(s0, "e")
       .When([](const Context&) { return false; })
       .To(s1);
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   EXPECT_EQ(machine.Deliver(Ev("e")),
             MachineInstance::DeliverResult::kDeviation);
@@ -155,7 +156,7 @@ TEST_F(EngineFixture, UnpredicatedTransitionIsElseBranch) {
       .To(hit, "specific");
   def.On(s0, "e").To(other, "else");
 
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& m1 = group.AddMachine(def, "m1");
   Event matching = Ev("e");
   matching.args["x"] = int64_t{1};
@@ -176,7 +177,7 @@ TEST_F(EngineFixture, OverlappingPredicatesReportNondeterminism) {
   const auto s1 = def.AddState("S1");
   def.On(s0, "e").When([](const Context&) { return true; }).To(s1, "first");
   def.On(s0, "e").When([](const Context&) { return true; }).To(s0, "second");
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   machine.Deliver(Ev("e"));
   EXPECT_EQ(observer_.nondeterminism, 1);
@@ -188,7 +189,7 @@ TEST_F(EngineFixture, AttackStateRaisesObserver) {
   const auto s0 = def.AddState("S0", StateKind::kInitial);
   const auto bad = def.AddState("evil", StateKind::kAttack);
   def.On(s0, "boom").To(bad);
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   machine.Deliver(Ev("boom"));
   ASSERT_EQ(observer_.attacks.size(), 1u);
@@ -200,7 +201,7 @@ TEST_F(EngineFixture, FinalStateRetiresMachine) {
   const auto s0 = def.AddState("S0", StateKind::kInitial);
   const auto done = def.AddState("done", StateKind::kFinal);
   def.On(s0, "end").To(done);
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   machine.Deliver(Ev("end"));
   EXPECT_TRUE(machine.retired());
@@ -231,7 +232,7 @@ TEST_F(EngineFixture, SyncChannelDeliversWithPriority) {
       .Do([](Context& c) { c.mutable_local().Set("v", c.event().Arg("v")); })
       .To(b1, "sync received");
 
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine_a = group.AddMachine(def_a, "A");
   auto& machine_b = group.AddMachine(def_b, "B");
   group.RouteChannel("ch", machine_b);
@@ -272,7 +273,7 @@ TEST_F(EngineFixture, SyncEventsPreserveFifoOrder) {
       })
       .To(b0);
 
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine_a = group.AddMachine(def_a, "A");
   auto& machine_b = group.AddMachine(def_b, "B");
   group.RouteChannel("ch", machine_b);
@@ -298,7 +299,7 @@ TEST_F(EngineFixture, SyncChainsAreDeliveredTransitively) {
   const auto c1 = def_c.AddState("C1");
   def_c.On(c0, "hop").To(c1);
 
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine_a = group.AddMachine(def_a, "A");
   auto& machine_b = group.AddMachine(def_b, "B");
   auto& machine_c = group.AddMachine(def_c, "C");
@@ -310,25 +311,74 @@ TEST_F(EngineFixture, SyncChainsAreDeliveredTransitively) {
 
 TEST_F(EngineFixture, CyclicEmitChainIsBounded) {
   // Two machines that bounce a sync event forever: the pump's cap must
-  // break the livelock instead of hanging the IDS.
+  // break the livelock instead of hanging the IDS, and what it cuts off is
+  // dropped and counted, not resumed by the next data event.
   MachineDef def_ping("ping");
   const auto p0 = def_ping.AddState("P0", StateKind::kInitial);
   def_ping.On(p0, "ball")
       .Do([](Context& c) { c.Emit("to_pong", Event{.name = "ball", .args = {}}); })
       .To(p0);
+  def_ping.On(p0, "poke").To(p0);
   MachineDef def_pong("pong");
   const auto q0 = def_pong.AddState("Q0", StateKind::kInitial);
   def_pong.On(q0, "ball")
       .Do([](Context& c) { c.Emit("to_ping", Event{.name = "ball", .args = {}}); })
       .To(q0);
 
-  MachineGroup group("g", scheduler_, &observer_);
+  obs::MetricsRegistry registry;
+  Runtime runtime(scheduler_, &observer_, EngineMetrics::Registered(registry));
+  MachineGroup group("g", runtime);
   auto& ping = group.AddMachine(def_ping, "ping");
   auto& pong = group.AddMachine(def_pong, "pong");
   group.RouteChannel("to_pong", pong);
   group.RouteChannel("to_ping", ping);
   group.DeliverData(ping, Ev("ball"));  // must return, not livelock
-  SUCCEED();
+  // The data event plus kMaxSyncEvents sync deliveries; the last of them
+  // emitted the one event left at the cap.
+  const size_t capped = 1 + Runtime::kMaxSyncEvents;
+  EXPECT_EQ(observer_.transitions.size(), capped);
+  const obs::Counter& dropped = registry.GetCounter("efsm.sync_dropped");
+  EXPECT_EQ(dropped.value(), 1u);
+
+  group.DeliverData(ping, Ev("poke"));
+  EXPECT_EQ(observer_.transitions.size(), capped + 1);
+  EXPECT_EQ(observer_.transitions.back(), "ping:P0--poke-->P0");
+  EXPECT_EQ(dropped.value(), 1u);
+}
+
+TEST_F(EngineFixture, SyncEventsFollowGlobalEmissionOrder) {
+  // One action emits on two channels, "z" before "a": delivery follows the
+  // emission order, not the channels' names.
+  std::vector<std::string> seen;
+  MachineDef def_src("src");
+  const auto s0 = def_src.AddState("S0", StateKind::kInitial);
+  def_src.On(s0, "go")
+      .Do([](Context& c) {
+        c.Emit("z", Event{.name = "first", .args = {}});
+        c.Emit("a", Event{.name = "second", .args = {}});
+        c.Emit("z", Event{.name = "third", .args = {}});
+      })
+      .To(s0);
+  MachineDef def_sink("sink");
+  const auto k0 = def_sink.AddState("K0", StateKind::kInitial);
+  for (const char* name : {"first", "second", "third"}) {
+    def_sink.On(k0, name)
+        .Do([&seen](Context& c) { seen.push_back(c.event().name); })
+        .To(k0);
+  }
+  MachineGroup group("g", runtime_);
+  auto& src = group.AddMachine(def_src, "src");
+  auto& sink_z = group.AddMachine(def_sink, "sink-z");
+  auto& sink_a = group.AddMachine(def_sink, "sink-a");
+  group.RouteChannel("z", sink_z);
+  group.RouteChannel("a", sink_a);
+  group.DeliverData(src, Ev("go"));
+  EXPECT_EQ(seen, (std::vector<std::string>{"first", "second", "third"}));
+  // The flight ring names each channel by its routing position.
+  const auto lines = group.ExplainFlight();
+  ASSERT_GE(lines.size(), 3u);
+  EXPECT_NE(lines[0].find("sync-send 'first' on z"), std::string::npos);
+  EXPECT_NE(lines[1].find("sync-send 'second' on a"), std::string::npos);
 }
 
 TEST_F(EngineFixture, EmitOnUnroutedChannelIsDroppedSilently) {
@@ -337,7 +387,7 @@ TEST_F(EngineFixture, EmitOnUnroutedChannelIsDroppedSilently) {
   def.On(s0, "go")
       .Do([](Context& c) { c.Emit("nowhere", Event{.name = "x", .args = {}}); })
       .To(s0);
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   group.DeliverData(machine, Ev("go"));
   EXPECT_TRUE(observer_.deviations.empty());
@@ -356,7 +406,7 @@ TEST_F(EngineFixture, GlobalVariablesAreSharedAcrossMachines) {
       .When([](const Context& c) { return c.global().GetInt("g_x") == 9; })
       .To(r1);
 
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine_w = group.AddMachine(writer, "W");
   auto& machine_r = group.AddMachine(reader, "R");
   group.DeliverData(machine_w, Ev("set"));
@@ -374,7 +424,7 @@ TEST_F(EngineFixture, TimersDeliverTimerEvents) {
       .To(armed);
   def.On(armed, TimerEventName("T")).To(fired);
 
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   group.DeliverData(machine, Ev("arm"));
   EXPECT_EQ(machine.StateName(), "armed");
@@ -396,7 +446,7 @@ TEST_F(EngineFixture, CancelTimerPreventsFiring) {
       .To(s0, "disarmed");
   def.On(s0, TimerEventName("T")).To(fired);
 
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   group.DeliverData(machine, Ev("arm"));
   group.DeliverData(machine, Ev("disarm"));
@@ -412,7 +462,7 @@ TEST_F(EngineFixture, StaleTimerEventIsIgnoredSilently) {
       .Do([](Context& c) { c.StartTimer("T", sim::Duration::Millis(10)); })
       .To(s1, "armed");
   // S1 has no transition for timer:T — the expiry must not be a deviation.
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   group.DeliverData(machine, Ev("arm"));
   scheduler_.RunUntil(sim::Time{} + sim::Duration::Seconds(1));
@@ -427,7 +477,7 @@ TEST_F(EngineFixture, RetiringCancelsPendingTimers) {
   def.On(s0, "arm")
       .Do([](Context& c) { c.StartTimer("T", sim::Duration::Millis(10)); })
       .To(done);
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   auto& machine = group.AddMachine(def, "m1");
   group.DeliverData(machine, Ev("arm"));
   EXPECT_TRUE(machine.retired());
@@ -439,7 +489,7 @@ TEST_F(EngineFixture, RetiringCancelsPendingTimers) {
 TEST_F(EngineFixture, GroupMemoryAccountsInstances) {
   MachineDef def("m");
   def.AddState("S0", StateKind::kInitial);
-  MachineGroup group("g", scheduler_, &observer_);
+  MachineGroup group("g", runtime_);
   const size_t empty = group.MemoryBytes();
   auto& machine = group.AddMachine(def, "m1");
   machine.local().Set("v", std::string(1000, 'x'));
@@ -515,7 +565,8 @@ TEST(MachineDefCheck, InstanceWithoutInitialStateThrows) {
   MachineDef def("m");
   def.AddState("S0");  // not initial
   sim::Scheduler scheduler;
-  MachineGroup group("g", scheduler, nullptr);
+  Runtime runtime(scheduler);
+  MachineGroup group("g", runtime);
   EXPECT_THROW(group.AddMachine(def, "m1"), std::invalid_argument);
 }
 

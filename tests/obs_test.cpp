@@ -290,7 +290,7 @@ TEST(FlightRecorder, RingKeepsNewestRecords) {
   EXPECT_EQ(seen.back(), 39);
   for (size_t i = 1; i < seen.size(); ++i) EXPECT_LT(seen[i - 1], seen[i]);
 
-  ring.Clear();
+  ring.Reset();
   EXPECT_EQ(ring.size(), 0u);
 }
 

@@ -207,7 +207,8 @@ TEST(GhostMedia, RtpAfterRtcpByeIsAttack) {
   DetectionConfig config;
   sim::Scheduler scheduler;
   AttackRecorder observer;
-  efsm::MachineGroup group("media|x", scheduler, &observer);
+  efsm::Runtime runtime(scheduler, &observer);
+  efsm::MachineGroup group("media|x", runtime);
   const auto def = BuildRtcpByeMachine(config);
   auto& machine = group.AddMachine(def, "rtcp-bye");
 
@@ -227,7 +228,8 @@ TEST(GhostMedia, NewStreamOnReusedEndpointIsFine) {
   DetectionConfig config;
   sim::Scheduler scheduler;
   AttackRecorder observer;
-  efsm::MachineGroup group("media|x", scheduler, &observer);
+  efsm::Runtime runtime(scheduler, &observer);
+  efsm::MachineGroup group("media|x", runtime);
   const auto def = BuildRtcpByeMachine(config);
   auto& machine = group.AddMachine(def, "rtcp-bye");
   group.DeliverData(machine, RtcpBye(7));
@@ -242,7 +244,8 @@ TEST(GhostMedia, MachineRetiresAfterLinger) {
   DetectionConfig config;
   sim::Scheduler scheduler;
   AttackRecorder observer;
-  efsm::MachineGroup group("media|x", scheduler, &observer);
+  efsm::Runtime runtime(scheduler, &observer);
+  efsm::MachineGroup group("media|x", runtime);
   const auto def = BuildRtcpByeMachine(config);
   auto& machine = group.AddMachine(def, "rtcp-bye");
   group.DeliverData(machine, RtcpBye(7));

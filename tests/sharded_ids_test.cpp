@@ -961,6 +961,66 @@ TEST(ShardedOwnership, EarlyMediaStateCollapsesOntoClaimingShard) {
   engine.Stop();
 }
 
+// An audio offer whose only connection line is media-level ("c=" after
+// "m=audio"): the shape the router's SDP reader used to skip.
+std::string MediaLevelConnectionSdp(net::Endpoint media) {
+  const std::string ip = media.ip.ToString();
+  return "v=0\r\no=ua 1 1 IN IP4 " + ip + "\r\ns=call\r\nt=0 0\r\n" +
+         "m=audio " + std::to_string(media.port) + " RTP/AVP 18\r\n" +
+         "c=IN IP4 " + ip + "\r\na=rtpmap:18 G729/8000\r\n";
+}
+
+TEST(ShardedOwnership, MediaLevelConnectionRoutesMediaToItsCall) {
+  // The router must claim the endpoint the classifier exports from the
+  // SDP. If it skipped media-level "c=" lines, each call's media would
+  // hash-route away from the call's shard, and the spoofed-BYE detection
+  // (the RTP spec machine seeing media after the BYE) would be lost there.
+  constexpr int kCalls = 16;
+  TraceBuilder b;
+  b.Step();
+  for (int c = 0; c < kCalls; ++c) {
+    const std::string call_id = "mlc-" + std::to_string(c) + "@trace";
+    const net::Endpoint caller{net::IpAddress(10, 1, 0, 10),
+                               static_cast<uint16_t>(20000 + 2 * c)};
+    const net::Endpoint callee{net::IpAddress(10, 2, 0, 10),
+                               static_cast<uint16_t>(30000 + 2 * c)};
+    auto invite = MakeInvite(call_id, "bob", caller, kProxyA);
+    invite.SetBody(MediaLevelConnectionSdp(caller), "application/sdp");
+    b.Add(SipDgram(invite, kProxyA, kProxyB), true);
+    b.Step();
+    auto ok = MakeResponse(invite, 200, std::nullopt);
+    ok.SetBody(MediaLevelConnectionSdp(callee), "application/sdp");
+    b.Add(SipDgram(ok, kProxyB, kProxyA), false);
+    b.Step();
+    b.Add(SipDgram(MakeInDialog(sip::Method::kAck, call_id, 1, caller),
+                   caller, callee),
+          true);
+    b.Step();
+    const uint32_t ssrc = 0x900u + static_cast<uint32_t>(c);
+    uint16_t seq = 0;
+    const auto rtp = [&] {
+      ++seq;
+      b.Add(RtpDgram(ssrc, seq, 160u * seq, caller, callee), true);
+      b.Step();
+    };
+    for (int i = 0; i < 3; ++i) rtp();
+    b.Add(SipDgram(MakeInDialog(sip::Method::kBye, call_id, 9, kAttacker),
+                   kAttacker, kProxyB),
+          true);
+    b.Step();
+    // Media keeps flowing well past the in-flight grace period.
+    for (int i = 0; i < 12; ++i) rtp();
+  }
+
+  const std::vector<Alert> plain = RunPlain(b.trace());
+  const auto bye_dos = std::count_if(
+      plain.begin(), plain.end(), [](const Alert& alert) {
+        return alert.classification == kAttackByeDos;
+      });
+  EXPECT_EQ(bye_dos, kCalls);
+  EXPECT_EQ(SortedSigs(plain), SortedSigs(RunSharded(b.trace(), 4)));
+}
+
 TEST(FactBase, DropMediaKeyedGroupRemovesKeyedState) {
   sim::Scheduler scheduler;
   Vids vids(scheduler);

@@ -169,10 +169,10 @@ TEST_F(FactBaseFixture, CrossProtocolAblationSkipsChannel) {
 }
 
 TEST_F(FactBaseFixture, KeyedGroupsPerKindAndKey) {
-  auto& flood1 = fact_base_.GetOrCreateKeyed(KeyedKind::kInviteFlood, "bob@b");
-  auto& flood2 = fact_base_.GetOrCreateKeyed(KeyedKind::kInviteFlood, "bob@b");
-  auto& media = fact_base_.GetOrCreateKeyed(KeyedKind::kMediaEndpoint,
-                                            "10.2.0.10:30000");
+  auto& flood1 = fact_base_.GetOrCreateInviteFlood("bob@b");
+  auto& flood2 = fact_base_.GetOrCreateInviteFlood("bob@b");
+  auto& media = fact_base_.GetOrCreateMediaGroup(
+      net::Endpoint{net::IpAddress(10, 2, 0, 10), 30000});
   EXPECT_EQ(&flood1, &flood2);
   EXPECT_NE(static_cast<void*>(&flood1), static_cast<void*>(&media));
   EXPECT_EQ(fact_base_.keyed_count(), 2u);
@@ -203,7 +203,7 @@ TEST_F(FactBaseFixture, MediaForUnknownCallIsNotIndexed) {
 }
 
 TEST_F(FactBaseFixture, SweepReclaimsIdleKeyedGroups) {
-  fact_base_.GetOrCreateKeyed(KeyedKind::kInviteFlood, "bob@b");
+  fact_base_.GetOrCreateInviteFlood("bob@b");
   scheduler_.RunUntil(scheduler_.Now() + config_.keyed_idle_timeout +
                       sim::Duration::Seconds(2));
   fact_base_.Sweep(scheduler_.Now());
@@ -238,18 +238,21 @@ TEST_F(FactBaseFixture, SweepDropsMediaIndexOfDeletedCall) {
   EXPECT_FALSE(fact_base_.CallByMedia(ep).has_value());
 }
 
-TEST_F(FactBaseFixture, BinaryAndStringMediaKeysAlias) {
+TEST_F(FactBaseFixture, BinaryKeyedGroupsAreOnePerKey) {
   const net::Endpoint ep{net::IpAddress(10, 2, 0, 10), 30000};
-  auto& by_string =
-      fact_base_.GetOrCreateKeyed(KeyedKind::kMediaEndpoint, ep.ToString());
-  auto& by_endpoint = fact_base_.GetOrCreateMediaGroup(ep);
-  EXPECT_EQ(&by_string, &by_endpoint);
+  auto& media = fact_base_.GetOrCreateMediaGroup(ep);
+  EXPECT_EQ(&media, &fact_base_.GetOrCreateMediaGroup(ep));
+  EXPECT_EQ(media.name(), "media|10.2.0.10:30000");
   EXPECT_EQ(fact_base_.keyed_count(), 1u);
 
-  auto& drdos_by_string =
-      fact_base_.GetOrCreateKeyed(KeyedKind::kDrdos, "10.2.0.1");
-  auto& drdos_by_ip = fact_base_.GetOrCreateDrdosGroup(net::IpAddress(10, 2, 0, 1));
-  EXPECT_EQ(&drdos_by_string, &drdos_by_ip);
+  // Media and DRDoS groups share one binary-keyed map; the family tag keeps
+  // a host's two groups apart.
+  auto& drdos = fact_base_.GetOrCreateDrdosGroup(net::IpAddress(10, 2, 0, 10));
+  EXPECT_EQ(&drdos, &fact_base_.GetOrCreateDrdosGroup(
+                        net::IpAddress(10, 2, 0, 10)));
+  EXPECT_NE(static_cast<void*>(&drdos), static_cast<void*>(&media));
+  EXPECT_EQ(drdos.name(), "drdos|10.2.0.10");
+  EXPECT_NE(drdos.Find("drdos"), nullptr);
   EXPECT_EQ(fact_base_.keyed_count(), 2u);
 }
 

@@ -87,10 +87,10 @@ class SpecFixture : public ::testing::Test {
   SpecFixture()
       : sip_def_(BuildSipSpecMachine(config_)),
         rtp_def_(BuildRtpSpecMachine(config_)),
-        group_("call-1", scheduler_, &observer_),
-        sip_(group_.AddMachine(sip_def_, std::string(kSipMachineName))),
-        rtp_(group_.AddMachine(rtp_def_, std::string(kRtpMachineName))) {
-    group_.RouteChannel(std::string(kSipToRtpChannel), rtp_);
+        group_("call-1", runtime_),
+        sip_(group_.AddMachine(sip_def_, kSipMachineName)),
+        rtp_(group_.AddMachine(rtp_def_, kRtpMachineName)) {
+    group_.RouteChannel(kSipToRtpChannel, rtp_);
   }
 
   // Drives a normal call up to the established state. Caller media at
@@ -119,6 +119,7 @@ class SpecFixture : public ::testing::Test {
   DetectionConfig config_;
   sim::Scheduler scheduler_;
   RecordingObserver observer_;
+  efsm::Runtime runtime_{scheduler_, &observer_};
   efsm::MachineDef sip_def_;
   efsm::MachineDef rtp_def_;
   MachineGroup group_;
@@ -291,11 +292,12 @@ TEST_F(SpecFixture, CleanTeardownRaisesNothingAndRetires) {
 
 class PatternFixture : public ::testing::Test {
  protected:
-  PatternFixture() : group_("key", scheduler_, &observer_) {}
+  PatternFixture() : group_("key", runtime_) {}
 
   DetectionConfig config_;
   sim::Scheduler scheduler_;
   RecordingObserver observer_;
+  efsm::Runtime runtime_{scheduler_, &observer_};
   MachineGroup group_;
 };
 
