@@ -7,6 +7,7 @@
 
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -40,6 +41,22 @@ struct StringHash {
     return std::hash<std::string_view>{}(s);
   }
 };
+
+/// FNV-1a 64 over the raw bytes. Stable across processes and builds
+/// (unlike std::hash), so every engine fed the same stream derives the same
+/// value: the sharded router's Call-ID partition and the behavior layer's
+/// Call-ID / destination / User-Agent identities both use it. The offset
+/// basis is 1469598103934665603, one digit short of the published
+/// 14695981039346656037; it stays, so shard assignment and behavior keys
+/// do not move (rng's HashName uses the published basis).
+inline uint64_t Fnv1a64(std::string_view s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 /// Case-insensitive comparison for header names and tokens.
 bool IEquals(std::string_view a, std::string_view b);

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace vids::ids {
 
@@ -255,7 +256,7 @@ void Vids::EmitAggregate(AggregateKind kind, std::string_view key,
       break;
     case AggregateKind::kBehaviorCallStart:
     case AggregateKind::kBehaviorCallEnd:
-      e.aux = behavior::BehaviorEngine::HashKey(packet.call_key);
+      e.aux = common::Fnv1a64(packet.call_key);
       break;
     case AggregateKind::kInviteRequest:
     case AggregateKind::kBehaviorRegSuccess:

@@ -4,24 +4,13 @@
 #include <chrono>
 
 #include "common/backoff.h"
+#include "common/strings.h"
 #include "rtp/rtcp.h"
 #include "sdp/sdp.h"
 
 namespace vids::ids {
 
 namespace {
-
-// Call-ID → shard. FNV-1a over the raw bytes: Call-IDs are adversarial
-// input, but the partition only needs balance, not collision resistance —
-// a skewed shard is a throughput problem, never a correctness one.
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 // Endpoint key → shard. PackedKey is structured (ip << 16 | port), so mix
 // it before taking the residue.
@@ -202,8 +191,7 @@ void ShardedIds::RecordSpan(Shard& shard, int64_t t0, int64_t t_dequeue) {
   shard.spans.Record(rec);
 }
 
-void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
-                               net::Datagram& scratch) {
+void ShardedIds::ProcessPacket(Shard& shard, const ShardMsg& msg) {
   // Sampled span: note the dequeue time and post the enqueue time where
   // the alert callback can see it. Unsampled packets (and the
   // sampling-off configuration) take one never-true branch.
@@ -213,28 +201,14 @@ void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
     span_dequeue = obs::MonotonicNanos();
     shard.span_open_enqueue_ns = span_t0;
   }
-  scratch.src = msg.dgram.src;
-  scratch.dst = msg.dgram.dst;
-  scratch.kind = msg.dgram.kind;
-  scratch.padding_bytes = msg.dgram.padding_bytes;
-  scratch.sent_time = msg.dgram.sent_time;
-  scratch.id = msg.dgram.id;
-  if (msg.in_arena) {
-    // The payload bytes live in the arena slot (same index as the ring
-    // slot) — one contiguous slab Ingest memcpy'd into.
-    scratch.payload.assign(shard.arena.Slot(shard.ring.ConsumerIndex(at)),
-                           msg.arena_len);
-  } else {
-    // Oversized payload took the slot-string path. Swap, don't copy: the
-    // slot inherits the scratch's warm buffer for the next assign.
-    scratch.payload.swap(msg.dgram.payload);
-  }
   // Advance this shard's private clock so detection timers (flood
   // windows, RTCP grace, sweeps) fire exactly as in the single engine:
   // all events <= `when` run before the packet is inspected, matching
   // the scheduler's timer-before-same-time-packet order.
   AdvanceShardClock(shard, sim::Time::FromNanos(msg.when_ns));
-  shard.vids->Inspect(scratch, msg.from_outside);
+  // The slot is the worker's until PopN retires the batch, so the datagram
+  // is inspected where Ingest wrote it.
+  shard.vids->Inspect(msg.dgram, msg.from_outside);
   if (span_t0 != 0) {
     RecordSpan(shard, span_t0, span_dequeue);
     shard.span_open_enqueue_ns = 0;
@@ -242,7 +216,6 @@ void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
 }
 
 void ShardedIds::WorkerLoop(Shard& shard) {
-  net::Datagram scratch;
   common::SpinBackoff backoff;
   // Heartbeats only exist for the watchdog; the disabled configuration
   // never reads the wall clock here.
@@ -260,7 +233,7 @@ void ShardedIds::WorkerLoop(Shard& shard) {
       ShardMsg& msg = shard.ring.At(taken);
       switch (msg.kind) {
         case ShardMsg::Kind::kPacket:
-          ProcessPacket(shard, taken, msg, scratch);
+          ProcessPacket(shard, msg);
           watermark = std::max(watermark, msg.when_ns);
           break;
         case ShardMsg::Kind::kRetractMedia:
@@ -323,10 +296,6 @@ void ShardedIds::WorkerLoop(Shard& shard) {
 void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
   sim::Scheduler& scheduler = *shard.scheduler;
   if (when <= scheduler.Now()) return;
-  if (watchdog_threshold_ns_ == 0) {
-    scheduler.RunUntil(when);
-    return;
-  }
   // Catch-up slicing. A capture gap (idle tap, faster-than-real-time
   // pcap/trace replay) can put hours of simulated time between two ring
   // messages, and every sweep/timer inside the gap runs here — mid-batch,
@@ -334,10 +303,11 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
   // RunUntil would freeze the heartbeat for the whole catch-up and let the
   // watchdog mis-score genuine progress as a wedged worker. So the minutes
   // in which timers are due run one at a time, each followed by both
-  // progress signals: the wall-clock heartbeat and the source-time
-  // frontier (processed_ns), which WatchdogCheck uses to re-anchor open
-  // episodes. Stretches with nothing due are crossed in one jump, so a
-  // fresh worker reaching a capture's epoch timestamps does O(1) work.
+  // progress signals: the wall-clock heartbeat (stored only when the
+  // watchdog is enabled) and the source-time frontier (processed_ns),
+  // which WatchdogCheck uses to re-anchor open episodes. Stretches with
+  // nothing due are crossed in one jump, so a fresh worker reaching a
+  // capture's epoch timestamps does O(1) work.
   // processed_ns is also the aggregate replay gate, so each slice first
   // commits the open up-batch: the aggregate events of the batch's earlier
   // packets (all at or before Now()) must be in the ring before the
@@ -350,8 +320,10 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
     shard.up.CommitPushN();
     shard.processed_ns.store(scheduler.Now().nanos(),
                              std::memory_order_release);
-    shard.last_progress_ns.store(obs::MonotonicNanos(),
-                                 std::memory_order_release);
+    if (watchdog_threshold_ns_ > 0) {
+      shard.last_progress_ns.store(obs::MonotonicNanos(),
+                                   std::memory_order_release);
+    }
     next = scheduler.NextEventTime();
   }
   scheduler.RunUntil(when);
@@ -360,7 +332,10 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
 // ----------------------------------------------------------------- routing
 
 int ShardedIds::ShardOfCallId(std::string_view call_id) const {
-  return static_cast<int>(Fnv1a(call_id) % shards_.size());
+  // Call-IDs are adversarial input, but the partition only needs balance,
+  // not collision resistance: a skewed shard costs throughput, never
+  // correctness.
+  return static_cast<int>(common::Fnv1a64(call_id) % shards_.size());
 }
 
 int ShardedIds::HashShardOfEndpoint(uint64_t packed_key) const {
@@ -390,7 +365,7 @@ void ShardedIds::ClaimMedia(const net::Endpoint& endpoint, int shard,
       owner_table_.Claim(key, shard, when_ns, HashShardOfEndpoint(key));
   if (edge.shard < 0) return;
   (edge.early ? m_early_retracts_ : m_retracts_)->Inc();
-  Push(edge.shard, [&](ShardMsg& msg, size_t) {
+  Push(edge.shard, [&](ShardMsg& msg) {
     msg.kind = ShardMsg::Kind::kRetractMedia;
     msg.when_ns = when_ns;
     msg.endpoint = endpoint;
@@ -400,9 +375,6 @@ void ShardedIds::ClaimMedia(const net::Endpoint& endpoint, int shard,
 template <typename Fill>
 void ShardedIds::Push(int shard_index, Fill&& fill) {
   Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  // The arena slot paired with the slot BeginPushN hands out. Stable across
-  // the backpressure commit below (committing does not move tail+pending).
-  const size_t slot_index = shard.ring.ProducerNextIndex();
   ShardMsg* slot = shard.ring.BeginPushN();
   if (slot == nullptr) {
     // Backpressure, not loss. Publish every open batch (the worker can
@@ -419,7 +391,7 @@ void ShardedIds::Push(int shard_index, Fill&& fill) {
       slot = shard.ring.BeginPushN();
     } while (slot == nullptr);
   }
-  fill(*slot, slot_index);
+  fill(*slot);
   ++open_msgs_;
   if (const auto depth = static_cast<uint64_t>(shard.ring.SizeFromProducer());
       depth > shard.ring_hwm) {
@@ -527,8 +499,7 @@ void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
     span_ns = obs::MonotonicNanos();
   }
 
-  Shard& shard = *shards_[static_cast<size_t>(target)];
-  Push(target, [&](ShardMsg& msg, size_t slot_index) {
+  Push(target, [&](ShardMsg& msg) {
     msg.kind = ShardMsg::Kind::kPacket;
     msg.when_ns = when_ns;
     msg.span_enqueue_ns = span_ns;  // always assigned: slots are reused
@@ -539,19 +510,8 @@ void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
     msg.dgram.padding_bytes = dgram.padding_bytes;
     msg.dgram.sent_time = dgram.sent_time;
     msg.dgram.id = dgram.id;
-    if (shard.arena.Fits(dgram.payload.size())) {
-      // Fast path: payload bytes go to the contiguous slab; the slot's own
-      // string is left untouched (its stale bytes are dead — arena_len is
-      // the source of truth).
-      shard.arena.Store(slot_index, dgram.payload.data(),
-                        dgram.payload.size());
-      msg.in_arena = true;
-      msg.arena_len = static_cast<uint32_t>(dgram.payload.size());
-    } else {
-      msg.in_arena = false;
-      msg.arena_len = 0;
-      msg.dgram.payload.assign(dgram.payload);  // reuses the slot's capacity
-    }
+    // The packet's one payload copy; it reuses the slot's capacity.
+    msg.dgram.payload.assign(dgram.payload);
   });
 
   DeadlineCheck(when_ns);
@@ -740,7 +700,7 @@ void ShardedIds::Flush(sim::Time now) {
   ++flush_token_;
   flush_acks_ = 0;
   for (int i = 0; i < shards(); ++i) {
-    Push(i, [&](ShardMsg& msg, size_t) {
+    Push(i, [&](ShardMsg& msg) {
       msg.kind = ShardMsg::Kind::kFlush;
       msg.when_ns = now_ns;
       msg.token = flush_token_;
@@ -796,7 +756,7 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
 void ShardedIds::Stop() {
   if (workers_joined_) return;
   for (int i = 0; i < shards(); ++i) {
-    Push(i, [](ShardMsg& msg, size_t) { msg.kind = ShardMsg::Kind::kStop; });
+    Push(i, [](ShardMsg& msg) { msg.kind = ShardMsg::Kind::kStop; });
   }
   CommitAll(FlushReason::kBarrier);
   // A worker with ring backlog keeps emitting up-messages on its way to
@@ -829,7 +789,7 @@ void ShardedIds::Stop() {
 void ShardedIds::WedgeWorkerForTest(int shard_index) {
   shards_[static_cast<size_t>(shard_index)]->wedged.store(
       true, std::memory_order_release);
-  Push(shard_index, [&](ShardMsg& msg, size_t) {
+  Push(shard_index, [&](ShardMsg& msg) {
     msg.kind = ShardMsg::Kind::kWedge;
     msg.when_ns = last_when_ns_;
   });
@@ -907,8 +867,12 @@ size_t ShardedIds::MemoryBytes() const {
   for (const auto& shard : shards_) {
     bytes += shard->vids->fact_base().MemoryBytes();
     bytes += shard->ring.capacity() * sizeof(ShardMsg) +
-             shard->arena.MemoryBytes() +
              shard->up.capacity() * sizeof(UpMsg);
+    // Payload buffers the ingest slots keep across laps (one jumbo SIP
+    // message leaves its slot that large).
+    for (const ShardMsg& msg : shard->ring.slots()) {
+      bytes += msg.dgram.payload.capacity();
+    }
   }
   bytes += owner_table_.MemoryBytes();
   bytes += coord_vids_.fact_base().MemoryBytes();

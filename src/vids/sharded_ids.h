@@ -24,15 +24,16 @@
 //   anything else  → hash of the destination endpoint.
 //
 // Each shard owns ONE strict SPSC ring (common/spsc_ring.h) from the
-// coordinator, paired 1:1 with a PayloadArena slab so steady-state ingest
-// memcpys payload bytes into a contiguous arena instead of scattered slot
-// strings, plus one up-ring back. The ingest ring carries packets,
-// ownership retracts and the flush/stop/wedge control messages in FIFO
-// order (DESIGN.md §12): a kFlush is honored exactly after every packet
-// ingested before it. When an SDP claim moves an endpoint to another
-// shard, the losing shard gets a kRetractMedia on its ring ahead of the
-// claiming packet, so exactly one shard counts the stream from the claim
-// onward.
+// coordinator, plus one up-ring back. The ring slot is the packet's only
+// home between router and worker: Ingest copies the payload into the
+// slot's reused string (the one copy a packet costs), and the worker
+// inspects the datagram in place before it retires the slot. The ingest
+// ring carries packets, ownership retracts and the flush/stop/wedge
+// control messages in FIFO order (DESIGN.md §12): a kFlush is honored
+// exactly after every packet ingested before it. When an SDP claim moves
+// an endpoint to another shard, the losing shard gets a kRetractMedia on
+// its ring ahead of the claiming packet, so exactly one shard counts the
+// stream from the claim onward.
 //
 // The detectors whose counting key spans calls — INVITE flooding (per
 // destination AOR), DRDoS reflection (per victim host) and the behavior
@@ -63,7 +64,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/payload_arena.h"
 #include "common/spsc_ring.h"
 #include "net/datagram.h"
 #include "obs/flight_recorder.h"
@@ -199,8 +199,9 @@ class ShardedIds {
   /// keyed groups + tombstones + media index), plus the ownership table
   /// and behavior profiles. Post-Flush.
   size_t TrackedState() const;
-  /// Total state footprint in bytes (fact bases, rings, arenas, ownership
-  /// table, coordinator maps and Vids). Post-Flush.
+  /// Total state footprint in bytes (fact bases, rings and the payload
+  /// buffers their slots keep, ownership table, coordinator maps and Vids).
+  /// Post-Flush.
   size_t MemoryBytes() const;
 
   /// Times Ingest found a ring full and had to wait.
@@ -251,11 +252,9 @@ class ShardedIds {
     /// unsampled ones (always assigned — ring slots are reused in place).
     int64_t span_enqueue_ns = 0;
     bool from_outside = false;
-    /// kPacket payload location: bytes live in the shard's arena slot (same
-    /// index as the ring slot) when in_arena, in dgram.payload otherwise.
-    bool in_arena = false;
-    uint32_t arena_len = 0;
-    net::Datagram dgram;        // kPacket (payload string reused in place)
+    /// kPacket: inspected in place by the worker; the payload string keeps
+    /// its capacity across laps.
+    net::Datagram dgram;
     net::Endpoint endpoint;     // kRetractMedia
     uint64_t token = 0;         // kFlush
   };
@@ -267,15 +266,9 @@ class ShardedIds {
     uint64_t token = 0;        // kFlushAck
   };
 
-  /// Per-slot byte budget of each ingest ring's payload arena (the slab is
-  /// ring_capacity * this). Payloads that fit are memcpy'd into the
-  /// contiguous slab; larger ones fall back to the ring slot's own string.
-  static constexpr size_t kArenaSlotBytes = 2048;
-
   struct Shard {
     /// Coordinator → worker, FIFO: packets, retracts, control messages.
     common::SpscRing<ShardMsg> ring;
-    common::PayloadArena arena;  // 1:1 with `ring`'s slots
     common::SpscRing<UpMsg> up;
     std::unique_ptr<sim::Scheduler> scheduler;
     std::unique_ptr<Vids> vids;
@@ -320,15 +313,14 @@ class ShardedIds {
     std::atomic<bool> wedged{false};
     /// Source-time progress frontier: the highest packet/flush time this
     /// worker fully processed (post-batch), or its scheduler's position
-    /// after each timer-running slice of a catch-up (watchdog-enabled
-    /// configs only). Every store is release-ordered after the up-ring
-    /// commit that publishes everything emitted up to that time, so every
-    /// aggregate event this shard will ever emit with when_ns <= this
-    /// value is already in the up-ring: the coordinator's replay gate is
-    /// the min of these across shards. The watchdog additionally reads
-    /// this as source-reported progress so a worker sweeping through a
-    /// replayed capture gap re-anchors its stall episode instead of
-    /// alerting.
+    /// after each timer-running slice of a catch-up. Every store is
+    /// release-ordered after the up-ring commit that publishes everything
+    /// emitted up to that time, so every aggregate event this shard will
+    /// ever emit with when_ns <= this value is already in the up-ring: the
+    /// coordinator's replay gate is the min of these across shards. The
+    /// watchdog additionally reads this as source-reported progress so a
+    /// worker sweeping through a replayed capture gap re-anchors its stall
+    /// episode instead of alerting.
     std::atomic<int64_t> processed_ns{0};
     /// Times this worker found its up-ring full (worker-owned plain slot;
     /// the coordinator folds it into MergedMetrics post-Flush).
@@ -340,9 +332,7 @@ class ShardedIds {
     std::atomic<bool> done{false};
 
     explicit Shard(size_t ring_capacity)
-        : ring(ring_capacity),
-          arena(ring.capacity(), kArenaSlotBytes),
-          up(ring_capacity) {}
+        : ring(ring_capacity), up(ring_capacity) {}
   };
 
   /// Why an ingest batch was published — the flush-reason histogram's
@@ -369,14 +359,13 @@ class ShardedIds {
 
   // ---- worker side ----
   void WorkerLoop(Shard& shard);
-  /// Inspects one kPacket message (ring slot `at` of the current batch).
-  void ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
-                     net::Datagram& scratch);
+  /// Inspects one kPacket message in its ring slot.
+  void ProcessPacket(Shard& shard, const ShardMsg& msg);
   /// Advances a shard's private scheduler to `when` (no-op if already
-  /// there). With the watchdog enabled, a stretch with no event due before
-  /// `when` is crossed in one jump; where timers are due, the catch-up
-  /// runs one simulated minute from the next due event at a time, with a
-  /// heartbeat, an up-ring commit and a processed_ns store per slice, so
+  /// there). A stretch with no event due before `when` is crossed in one
+  /// jump; where timers are due, the catch-up runs one simulated minute
+  /// from the next due event at a time, with an up-ring commit, a
+  /// processed_ns store and (watchdog enabled) a heartbeat per slice, so
   /// mid-batch catch-up work is visible as progress. Cost follows the due
   /// timers, not the distance the clock moves.
   void AdvanceShardClock(Shard& shard, sim::Time when);

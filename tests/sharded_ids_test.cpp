@@ -25,6 +25,7 @@
 #include "vids/ids.h"
 #include "vids/patterns.h"
 #include "vids/sharded_ids.h"
+#include "vids/spec_machines.h"
 
 namespace vids::ids {
 namespace {
@@ -40,80 +41,46 @@ TEST(SpscRing, RoundsCapacityUpToPowerOfTwo) {
 
 TEST(SpscRing, FifoAcrossWraparound) {
   common::SpscRing<int> ring(4);
-  EXPECT_EQ(ring.Front(), nullptr);  // empty
+  EXPECT_EQ(ring.FrontN(4), 0u);  // empty
   int next_push = 0;
   int next_pop = 0;
   // Many full/empty cycles so head and tail wrap the 4-slot buffer often.
   for (int round = 0; round < 100; ++round) {
-    while (int* slot = ring.BeginPush()) {
-      *slot = next_push++;
-      ring.CommitPush();
-    }
+    while (int* slot = ring.BeginPushN()) *slot = next_push++;
+    ring.CommitPushN();
     EXPECT_EQ(ring.SizeApprox(), ring.capacity());
-    EXPECT_EQ(ring.BeginPush(), nullptr);  // full: rejected, not overwritten
-    while (int* front = ring.Front()) {
-      EXPECT_EQ(*front, next_pop++);
-      ring.Pop();
-    }
-    EXPECT_EQ(ring.Front(), nullptr);
+    EXPECT_EQ(ring.BeginPushN(), nullptr);  // full: rejected, not overwritten
+    const size_t n = ring.FrontN(ring.capacity());
+    ASSERT_EQ(n, ring.capacity());
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(ring.At(i), next_pop++);
+    ring.PopN(n);
+    EXPECT_EQ(ring.FrontN(4), 0u);
   }
   EXPECT_EQ(next_push, next_pop);
   EXPECT_EQ(next_push, 400);
 }
 
 TEST(SpscRing, SlotsAreReusedInPlace) {
-  // The zero-allocation handoff depends on Pop() leaving the slot object
-  // alive: after a full lap, BeginPush must hand back the same object
+  // The zero-allocation handoff depends on PopN() leaving the slot object
+  // alive: after a full lap, BeginPushN must hand back the same object
   // (same address, warm string capacity) it handed out last lap.
   common::SpscRing<std::string> ring(2);
-  std::string* first = ring.BeginPush();
+  std::string* first = ring.BeginPushN();
   ASSERT_NE(first, nullptr);
   first->assign("warm-capacity-probe-string");
   const size_t capacity_before = first->capacity();
-  ring.CommitPush();
-  ring.Pop();
-  std::string* second = ring.BeginPush();  // slot 1
+  ring.CommitPushN();
+  ASSERT_EQ(ring.FrontN(1), 1u);
+  EXPECT_EQ(&ring.At(0), first);  // the consumer reads the slot in place
+  ring.PopN(1);
+  std::string* second = ring.BeginPushN();  // slot 1
   ASSERT_NE(second, nullptr);
-  ring.CommitPush();
-  ring.Pop();
-  std::string* again = ring.BeginPush();  // back to slot 0
+  ring.CommitPushN();
+  ring.PopN(ring.FrontN(1));
+  std::string* again = ring.BeginPushN();  // back to slot 0
   ASSERT_EQ(again, first);
   EXPECT_GE(again->capacity(), capacity_before);
-}
-
-TEST(SpscRing, TwoThreadStressKeepsOrderAndLosesNothing) {
-  const int n = [] {
-    if (const char* s = std::getenv("SHARDED_STRESS_PACKETS")) {
-      return std::max(1000, std::atoi(s));
-    }
-    return 200'000;
-  }();
-  common::SpscRing<int> ring(64);
-  std::thread producer([&] {
-    for (int i = 0; i < n;) {
-      if (int* slot = ring.BeginPush()) {
-        *slot = i++;
-        ring.CommitPush();
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  int expected = 0;
-  long long sum = 0;
-  while (expected < n) {
-    if (int* front = ring.Front()) {
-      ASSERT_EQ(*front, expected);  // strict FIFO under concurrency
-      sum += *front;
-      ++expected;
-      ring.Pop();
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, static_cast<long long>(n) * (n - 1) / 2);
-  EXPECT_EQ(ring.Front(), nullptr);
+  EXPECT_EQ(&ring.slots()[0], first);
 }
 
 TEST(SpscRingBatched, WraparoundAtCapacityBoundaries) {
@@ -168,43 +135,10 @@ TEST(SpscRingBatched, PartialBatchInvisibleUntilCommit) {
   ring.PopN(8);
 }
 
-TEST(SpscRingBatched, InterleavedSingleAndBatchedOps) {
-  // Single push/pop is the K = 1 case of the batched machinery, so mixing
-  // them must preserve FIFO exactly.
-  common::SpscRing<int> ring(8);
-  int next_push = 0;
-  int next_pop = 0;
-  for (int round = 0; round < 50; ++round) {
-    // Two singles, then a batch of three.
-    for (int i = 0; i < 2; ++i) {
-      int* slot = ring.BeginPush();
-      ASSERT_NE(slot, nullptr);
-      *slot = next_push++;
-      ring.CommitPush();
-    }
-    for (int i = 0; i < 3; ++i) {
-      int* slot = ring.BeginPushN();
-      ASSERT_NE(slot, nullptr);
-      *slot = next_push++;
-    }
-    ring.CommitPushN();
-    // One single pop, then drain the rest batched.
-    int* front = ring.Front();
-    ASSERT_NE(front, nullptr);
-    EXPECT_EQ(*front, next_pop++);
-    ring.Pop();
-    const size_t n = ring.FrontN(8);
-    ASSERT_EQ(n, 4u);
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(ring.At(i), next_pop++);
-    ring.PopN(n);
-  }
-  EXPECT_EQ(next_push, next_pop);
-}
-
 TEST(SpscRingBatched, TwoThreadStressKeepsOrderAndLosesNothing) {
-  // The batched analog of the single-op stress above, and the TSan surface
-  // for the one-release-store-per-batch publish: producer commits variable
-  // partial batches, consumer drains variable batch sizes.
+  // The TSan surface for the one-release-store-per-batch publish: the
+  // producer commits variable partial batches (single-slot ones included),
+  // the consumer drains variable batch sizes.
   const int n = [] {
     if (const char* s = std::getenv("SHARDED_STRESS_PACKETS")) {
       return std::max(1000, std::atoi(s));
@@ -712,6 +646,90 @@ TEST(ShardedBackpressure, StallsCountWaitsNotSpins) {
   EXPECT_LE(stalls, invites.size());
   EXPECT_EQ(engine.shard_vids(0).stats().packets, invites.size());
   engine.Stop();
+}
+
+// ---------------------------------------------------- jumbo payloads
+
+// A spoofed BYE against `call_id`, inflated to `size` bytes by a padding
+// header ahead of every other header: a slot that delivered a truncated or
+// stale payload would lose the Call-ID, and with it the BYE-DoS alert.
+net::Datagram PaddedSpoofedBye(const std::string& call_id, size_t size) {
+  net::Datagram dgram = SipDgram(
+      MakeInDialog(sip::Method::kBye, call_id, 9, kAttacker), kAttacker,
+      kProxyB);
+  const size_t headers = dgram.payload.find("\r\n") + 2;
+  const std::string pad_header = "X-Pad: \r\n";
+  dgram.payload.insert(
+      headers, "X-Pad: " +
+                   std::string(size - dgram.payload.size() - pad_header.size(),
+                               'p') +
+                   "\r\n");
+  return dgram;
+}
+
+TEST(ShardedPayloads, JumboDatagramsRaiseInlineAlertsAndCountTheirSlots) {
+  // A 3 KB SIP message and a 60 KB datagram amid ordinary calls and media:
+  // each rides its ring slot intact, and the slot's grown buffer shows up
+  // in MemoryBytes().
+  constexpr size_t kJumbo = 60'000;
+  TraceBuilder b;
+  const net::Endpoint caller_a{net::IpAddress(10, 1, 0, 20), 24000};
+  const net::Endpoint callee_a{net::IpAddress(10, 2, 0, 20), 34000};
+  const net::Endpoint caller_b{net::IpAddress(10, 1, 0, 21), 24002};
+  const net::Endpoint callee_b{net::IpAddress(10, 2, 0, 21), 34002};
+  b.EstablishCall("jumbo-a@trace", caller_a, callee_a);
+  b.EstablishCall("jumbo-b@trace", caller_b, callee_b);
+  const auto media = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      const auto n = static_cast<uint32_t>(i);
+      b.Add(RtpDgram(0x700u, static_cast<uint16_t>(i), 160u * n, caller_a,
+                     callee_a),
+            true);
+      b.Add(RtpDgram(0x701u, static_cast<uint16_t>(i), 160u * n, caller_b,
+                     callee_b),
+            true);
+      b.Step();
+    }
+  };
+  media(1, 8);
+  const size_t first_jumbo = b.trace().size();
+  b.Add(PaddedSpoofedBye("jumbo-a@trace", 3'000), true);
+  b.Step();
+  media(8, 16);
+  b.Add(PaddedSpoofedBye("jumbo-b@trace", kJumbo), true);
+  b.Step();
+  media(16, 24);
+  b.EstablishCall("jumbo-c@trace", {net::IpAddress(10, 1, 0, 22), 24004},
+                  {net::IpAddress(10, 2, 0, 22), 34004});
+  const auto& trace = b.trace();
+  ASSERT_GT(trace[first_jumbo].dgram.payload.size(), 2048u);
+
+  const auto plain = RunPlain(trace);
+  size_t plain_bye_dos = 0;
+  for (const Alert& alert : plain) {
+    if (alert.classification == kAttackByeDos) ++plain_bye_dos;
+  }
+  ASSERT_EQ(plain_bye_dos, 2u);  // both jumbo BYEs alert inline
+
+  for (int shards : {1, 4}) {
+    ShardedConfig config;
+    config.shards = shards;
+    ShardedIds engine(config);
+    for (size_t i = 0; i < first_jumbo; ++i) {
+      engine.Ingest(trace[i].dgram, trace[i].from_outside, trace[i].when);
+    }
+    engine.Flush(trace[first_jumbo - 1].when);
+    const size_t before = engine.MemoryBytes();
+    for (size_t i = first_jumbo; i < trace.size(); ++i) {
+      engine.Ingest(trace[i].dgram, trace[i].from_outside, trace[i].when);
+    }
+    engine.Flush(trace.back().when);
+    EXPECT_GE(engine.MemoryBytes(), before + kJumbo) << "shards=" << shards;
+    engine.Stop();
+    EXPECT_EQ(engine.CountAlerts(kAttackByeDos), 2u) << "shards=" << shards;
+    EXPECT_EQ(SortedSigs(plain), SortedSigs(engine.alerts()))
+        << "shards=" << shards;
+  }
 }
 
 // ---------------------------------------------------- aggregate hooks
